@@ -64,7 +64,9 @@ type Report struct {
 	MaxNodeCompute time.Duration
 	// TotalNodeCompute is the summed evaluation time of all nodes (≈ EK).
 	TotalNodeCompute time.Duration
-	// DecodeWall is the wall-clock duration of the decode phase.
+	// DecodeWall is the wall-clock duration of the decode phase: erasure
+	// plans and word decodes, summed over every attempt (a repair run
+	// decodes once per round, failed attempts included).
 	DecodeWall time.Duration
 	// VerifyPerTrial is the average duration of one verification trial.
 	VerifyPerTrial time.Duration
@@ -87,10 +89,13 @@ type engine struct {
 	w, d    int // width, degree bound
 	e, k    int // code length, node count (clamped to e)
 	primes  []uint64
-	assign PointAssignment
-	codes  []*rs.Code
-	report *Report
-	obs    Observer
+	assign  PointAssignment
+	codes   []*rs.Code
+	report  *Report
+	obs     Observer
+	// chunkPoints caps the points in one prepare task: maxChunkPoints,
+	// fixed at construction (tests lift it to compare task splits).
+	chunkPoints int
 	// pointsLeft is the progress-credit budget: the (point, prime)
 	// units announced via Observer.Geometry that have not been credited
 	// through Observer.PointsDone yet. Repair rounds re-evaluate ranges
@@ -167,11 +172,12 @@ func newEngine(p Problem, opts Options) (*engine, error) {
 	}
 	return &engine{
 		p: p, opts: opts, w: w, d: d, e: e, k: k,
-		planner: NewSharedPlanner(p, opts.Plans, opts.PlanKey),
-		primes:  primes,
-		assign: NewPointAssignment(e, k),
-		codes:  codes,
-		obs:    obs,
+		planner:     NewSharedPlanner(p, opts.Plans, opts.PlanKey),
+		primes:      primes,
+		assign:      NewPointAssignment(e, k),
+		codes:       codes,
+		obs:         obs,
+		chunkPoints: maxChunkPoints,
 		report: &Report{
 			Problem:        p.Name(),
 			Nodes:          k,
@@ -201,6 +207,12 @@ func Run(ctx context.Context, p Problem, opts Options) (*Proof, *Report, error) 
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: %s: %w", p.Name(), err)
 	}
+	return en.run(ctx)
+}
+
+// run drives a constructed engine through every stage; see Run.
+func (en *engine) run(ctx context.Context) (*Proof, *Report, error) {
+	p := en.p
 	// The engine owns the transport for the whole run — gathers in
 	// repair-capable runs leave it open between rounds.
 	defer en.closeTransport()
@@ -479,12 +491,21 @@ func (en *engine) stagePrepare(ctx context.Context) (*prepared, error) {
 	return &prepared{shares: delivered, missing: missing}, nil
 }
 
+// maxChunkPoints caps the points in one prepare task. A task holds its
+// worker until the whole sub-range is evaluated, and the pool may be
+// shared across runs (the proof service), so an owned range evaluated as
+// one task would make every other run's work queue behind it. Smaller
+// caps cost block-evaluation calls, each with its own per-block set-up.
+const maxChunkPoints = 128
+
 // buildShareTasks allocates the in-flight message for one owned point
 // range [lo, hi) — owner's id on the message, sponsor as the physical
 // sender, round tagging the gather it belongs to — and appends its
-// (prime, sub-range) chunk tasks. idx is the message's position in the
+// (prime, sub-range) chunk tasks: at least parts per prime, and none
+// longer than en.chunkPoints. idx is the message's position in the
 // round's prepNode slice (what prepChunk.node indexes).
 func (en *engine) buildShareTasks(idx, owner, sponsor, round, lo, hi, parts int, chunks []prepChunk) (*prepNode, []prepChunk) {
+	parts = max(parts, (hi-lo+en.chunkPoints-1)/en.chunkPoints)
 	st := &prepNode{msg: NodeShares{
 		ID: owner, From: sponsor, Round: round,
 		Lo: lo, Hi: hi,
@@ -812,10 +833,16 @@ func (en *engine) stageDecode(ctx context.Context, prep *prepared) (*Proof, erro
 	if en.opts.DecodingNodes > 0 && en.opts.DecodingNodes < len(decoders) {
 		decoders = decoders[:en.opts.DecodingNodes]
 	}
+	// Accumulate on every path: a repair-capable run decodes once per
+	// round, its first attempt fails beyond budget, and the report's
+	// decode wall is the run's total, failed attempts included.
+	decodeStart := time.Now()
+	defer func() { en.report.DecodeWall += time.Since(decodeStart) }()
 	// One erasure plan per prime, shared read-only by every decoder:
 	// the erasure set is a property of the gather, not of any received
-	// word, and the plan's root-product precomputation is quadratic in
-	// the codeword length. An undecodable erasure set fails here.
+	// word, and the plan's interpolation context (subproduct tree and
+	// barycentric weights over the surviving points) is work every word
+	// would otherwise repeat. An undecodable erasure set fails here.
 	erased := en.erasedPoints(prep.missing)
 	plans := make([]*rs.ErasurePlan, len(en.codes))
 	for pi, code := range en.codes {
@@ -826,7 +853,6 @@ func (en *engine) stageDecode(ctx context.Context, prep *prepared) (*Proof, erro
 		plans[pi] = plan
 	}
 
-	decodeStart := time.Now()
 	results := make([]*decodeResult, len(decoders))
 	// Suspects merge incrementally as decoders finish so Status() can
 	// report a live count mid-stage.
@@ -851,9 +877,6 @@ func (en *engine) stageDecode(ctx context.Context, prep *prepared) (*Proof, erro
 	if err != nil {
 		return nil, err
 	}
-	// Accumulate: a repair-capable run decodes once per round, and the
-	// report's decode wall is the run's total.
-	en.report.DecodeWall += time.Since(decodeStart)
 
 	// Agreement: all decoders must have recovered the same proof.
 	first := results[0]

@@ -8,6 +8,7 @@ package core
 // of the helpers that cut missing ranges into repair work.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -279,6 +280,9 @@ func TestCutRangeBoundaries(t *testing.T) {
 		{7, 3, 2, nil},                              // inverted range
 		{0, 10, 0, [][2]int{{0, 10}}},               // no split requested
 		{0, 10, 1, [][2]int{{0, 10}}},
+		// Long ranges, as the prepare cap cuts them.
+		{0, 129, 2, [][2]int{{0, 64}, {64, 129}}},
+		{100, 300, 4, [][2]int{{100, 150}, {150, 200}, {200, 250}, {250, 300}}},
 	}
 	for _, tc := range cases {
 		got := cutRange(tc.lo, tc.hi, tc.parts)
@@ -296,6 +300,67 @@ func TestCutRangeBoundaries(t *testing.T) {
 		if len(got) > 0 && at != tc.hi {
 			t.Fatalf("cutRange(%d, %d, %d) stops at %d: %v", tc.lo, tc.hi, tc.parts, at, got)
 		}
+	}
+}
+
+// TestShareTasksBoundedChunks pins the prepare cap: every chunk task
+// covers at most maxChunkPoints points, the chunks of each prime tile the
+// owned range in order, and a larger requested split still wins.
+func TestShareTasksBoundedChunks(t *testing.T) {
+	en := &engine{primes: []uint64{97, 101}, w: 2, chunkPoints: maxChunkPoints}
+	const m = maxChunkPoints
+	for _, tc := range []struct{ lo, hi, parts, want int }{
+		{0, m, 1, 1},
+		{0, m + 1, 1, 2},
+		{10, 10 + 4*m, 1, 4},
+		{10, 10 + 4*m, 6, 6},
+		{0, 15*m + 1, 2, 16},
+		{5, 5, 1, 0},
+	} {
+		st, chunks := en.buildShareTasks(0, 0, 0, 0, tc.lo, tc.hi, tc.parts, nil)
+		if len(chunks) != tc.want*len(en.primes) || int(st.remaining.Load()) != len(chunks) {
+			t.Fatalf("[%d,%d) parts=%d: %d chunks (%d pending), want %d per prime",
+				tc.lo, tc.hi, tc.parts, len(chunks), st.remaining.Load(), tc.want)
+		}
+		at := map[int]int{0: tc.lo, 1: tc.lo}
+		for _, c := range chunks {
+			if c.hi-c.lo > maxChunkPoints || c.lo != at[c.prime] {
+				t.Fatalf("[%d,%d) parts=%d: chunk %+v breaks the cap or the tiling", tc.lo, tc.hi, tc.parts, c)
+			}
+			at[c.prime] = c.hi
+		}
+	}
+}
+
+// TestChunkCapProofBytesMatch runs one byzantine instance whose owned
+// ranges exceed maxChunkPoints twice: with the cap, and with one chunk
+// per node and prime. Task splitting is scheduling only; the proof
+// bytes must be identical.
+func TestChunkCapProofBytesMatch(t *testing.T) {
+	opts := Options{
+		Nodes: 3, FaultTolerance: 2 * maxChunkPoints, MaxParallelism: 2,
+		Adversary: NewLyingNodes(11, 1),
+	}
+	var encoded [2][]byte
+	for i, chunkPoints := range []int{maxChunkPoints, 1 << 30} {
+		en, err := newEngine(testProblem(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lo, hi := en.assign.Range(0); hi-lo <= maxChunkPoints {
+			t.Fatalf("node 0 owns %d points; the cap would not split it", hi-lo)
+		}
+		en.chunkPoints = chunkPoints
+		proof, _, err := en.run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if encoded[i], err = proof.MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(encoded[0], encoded[1]) {
+		t.Fatal("proof bytes differ between capped chunks and one chunk per node")
 	}
 }
 
@@ -392,5 +457,56 @@ func TestRepairProgressNeverOverCredits(t *testing.T) {
 		// repaired ranges), so a healed run's progress should also be
 		// complete — the clamp must not under-credit a full recovery.
 		t.Fatalf("PointsDone = %d < PointsTotal = %d after full heal", done, total)
+	}
+}
+
+// stallingAdversary wraps another adversary and stalls on the first
+// symbol of each word node 0 decodes, so every decode attempt that
+// reaches word decoding lasts at least stall per stall taken.
+type stallingAdversary struct {
+	Adversary
+	stall  time.Duration
+	stalls atomic.Int32
+}
+
+func (a *stallingAdversary) Transform(sender, recipient int, prime uint64, coord, point int, value uint64) (uint64, bool) {
+	if recipient == 0 && coord == 0 && point == 0 {
+		a.stalls.Add(1)
+		time.Sleep(a.stall)
+	}
+	return a.Adversary.Transform(sender, recipient, prime, coord, point, value)
+}
+
+// TestRepairDecodeWallCoversFailedAttempt loses node 4 in round 0 while
+// node 3 lies, which is beyond budget (2·2 errors + 2 erasures > 4), so
+// the first decode attempt fails on its first word and a repair round
+// recovers. Report.DecodeWall must cover both attempts: every stall,
+// the failed attempt's included.
+func TestRepairDecodeWallCoversFailedAttempt(t *testing.T) {
+	adv := &stallingAdversary{Adversary: NewLyingNodes(3, 3), stall: 40 * time.Millisecond}
+	_, rep, err := Run(context.Background(), testProblem(), Options{
+		Nodes: 5, FaultTolerance: 2,
+		MaxErasures: 1, MaxRepairRounds: 1, GatherGrace: 100 * time.Millisecond,
+		DecodingNodes: 1,
+		Adversary:     adv,
+		NewTransport: func(k int) Transport {
+			return &filterTransport{
+				BroadcastBus: NewBroadcastBus(k),
+				dropFn:       func(m NodeShares) bool { return m.Round == 0 && m.ID == 4 },
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.RepairRounds != 1 {
+		t.Fatalf("RepairRounds = %d, want 1", rep.RepairRounds)
+	}
+	n := adv.stalls.Load()
+	if n < 2 {
+		t.Fatalf("%d stalled words, want at least one per decode attempt", n)
+	}
+	if floor := time.Duration(n) * adv.stall; rep.DecodeWall < floor {
+		t.Fatalf("DecodeWall = %v, below the %d stalls' %v: a decode attempt is missing", rep.DecodeWall, n, floor)
 	}
 }

@@ -97,6 +97,32 @@ func ProdSumLazy(acc uint64, a, b []uint64, k Kernel) uint64 {
 	return acc
 }
 
+// HornerVec sets dst[i] = f.Horner(coeffs, xs[i]) for every i. Four
+// points run side by side: a single Horner chain waits on each multiply
+// before the next, while four independent chains overlap. Coefficients
+// must be canonical; len(dst) must be >= len(xs), and dst may alias xs.
+func (f Field) HornerVec(dst, coeffs, xs []uint64) {
+	k := f.Kernel()
+	n := len(xs)
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		x0, x1 := k.Shift(f.ReduceU(xs[i])), k.Shift(f.ReduceU(xs[i+1]))
+		x2, x3 := k.Shift(f.ReduceU(xs[i+2])), k.Shift(f.ReduceU(xs[i+3]))
+		var a0, a1, a2, a3 uint64
+		for j := len(coeffs) - 1; j >= 0; j-- {
+			c := coeffs[j]
+			a0 = f.Add(MulKS(a0, x0, k), c)
+			a1 = f.Add(MulKS(a1, x1, k), c)
+			a2 = f.Add(MulKS(a2, x2, k), c)
+			a3 = f.Add(MulKS(a3, x3, k), c)
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = a0, a1, a2, a3
+	}
+	for ; i < n; i++ {
+		dst[i] = f.Horner(coeffs, xs[i])
+	}
+}
+
 // ReduceVec4Q canonicalizes entries from the Harvey lazy range [0, 4q)
 // in place: two conditional subtractions per entry.
 func ReduceVec4Q(a []uint64, q uint64) {

@@ -141,6 +141,29 @@ func TestProdSumLazyMatchesScalar(t *testing.T) {
 	}
 }
 
+func TestHornerVecMatchesHorner(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, q := range diffModuli(t) {
+		f := Must(q)
+		for _, n := range []int{0, 1, 3, 4, 5, 8, 33} {
+			for _, deg := range []int{-1, 0, 1, 7, 40} {
+				coeffs := randVec(deg+1, q, rng)
+				xs := randVec(n, q, rng)
+				if n > 2 {
+					xs[2] = rng.Uint64() // an unreduced point
+				}
+				dst := make([]uint64, n)
+				f.HornerVec(dst, coeffs, xs)
+				for i, x := range xs {
+					if want := f.Horner(coeffs, x); dst[i] != want {
+						t.Fatalf("q=%d n=%d deg=%d: HornerVec[%d] = %d, want %d", q, n, deg, i, dst[i], want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestReduceVec4Q(t *testing.T) {
 	for _, q := range diffModuli(t) {
 		rng := rand.New(rand.NewSource(int64(q)))

@@ -26,15 +26,15 @@ const parSpanMin = 4 * fastThreshold
 // subproductTree holds Π(x - x_i) over binary ranges of the point set.
 // Node k covers the points of its leaves; tree[1] is the full product.
 type subproductTree struct {
-	n    int
-	node [][]uint64 // heap layout, 1-based; leaves are (x - x_i)
+	points []uint64
+	node   [][]uint64 // heap layout, 1-based; leaves are (x - x_i)
 }
 
 // newSubproductTree builds the tree over the given points.
 func (r *Ring) newSubproductTree(points []uint64) *subproductTree {
 	n := len(points)
 	size := nttSize(n)
-	t := &subproductTree{n: n, node: make([][]uint64, 2*size)}
+	t := &subproductTree{points: points, node: make([][]uint64, 2*size)}
 	for i := 0; i < size; i++ {
 		if i < n {
 			t.node[size+i] = []uint64{r.f.Neg(points[i]), 1}
@@ -68,21 +68,24 @@ func (r *Ring) newSubproductTree(points []uint64) *subproductTree {
 func (r *Ring) EvalMany(p []uint64, points []uint64) []uint64 {
 	if len(points) <= fastThreshold || len(p) <= fastThreshold {
 		out := make([]uint64, len(points))
-		for i, x := range points {
-			out[i] = r.Eval(p, x)
-		}
+		r.f.HornerVec(out, p, points)
 		return out
 	}
-	t := r.newSubproductTree(points)
-	out := make([]uint64, len(points))
-	r.evalDown(t, 1, p, out, 0, nttSize(len(points)))
+	return r.evalTree(r.newSubproductTree(points), p)
+}
+
+// evalTree evaluates p at every leaf point of t by descending the tree.
+func (r *Ring) evalTree(t *subproductTree, p []uint64) []uint64 {
+	n := len(t.points)
+	out := make([]uint64, n)
+	r.evalDown(t, 1, p, out, 0, nttSize(n))
 	return out
 }
 
 // evalDown reduces p modulo the subtree products, descending to leaves.
 // span is the leaf count under node k; off the leaf offset.
 func (r *Ring) evalDown(t *subproductTree, k int, p []uint64, out []uint64, off, span int) {
-	if off >= t.n {
+	if off >= len(t.points) {
 		return
 	}
 	_, rem := r.DivMod(p, t.node[k])
@@ -96,11 +99,8 @@ func (r *Ring) evalDown(t *subproductTree, k int, p []uint64, out []uint64, off,
 	}
 	// Below a size threshold, finish with Horner: cheaper than recursion.
 	if span <= fastThreshold {
-		for i := off; i < off+span && i < t.n; i++ {
-			// Leaf i holds (x - x_i): recover x_i from its constant term.
-			xi := r.f.Neg(t.node[nttSize(t.n)+i][0])
-			out[i] = r.Eval(rem, xi)
-		}
+		end := min(off+span, len(t.points))
+		r.f.HornerVec(out[off:end], rem, t.points[off:end])
 		return
 	}
 	// The children read rem (DivMod copies; nothing is mutated) and write
@@ -117,7 +117,9 @@ func (r *Ring) evalDown(t *subproductTree, k int, p []uint64, out []uint64, off,
 }
 
 // Interpolate returns the unique polynomial of degree < len(points) with
-// p(points[i]) = values[i]. Points must be distinct mod q.
+// p(points[i]) = values[i]. Points must be distinct mod q. Callers
+// interpolating many value vectors over one point set should build an
+// Interpolator once instead.
 func (r *Ring) Interpolate(points, values []uint64) []uint64 {
 	if len(points) != len(values) {
 		panic("poly: interpolation point/value length mismatch")
@@ -128,19 +130,96 @@ func (r *Ring) Interpolate(points, values []uint64) []uint64 {
 	if len(points) <= fastThreshold {
 		return r.interpolateLagrange(points, values)
 	}
+	return r.NewInterpolator(points).Interpolate(values)
+}
+
+// Interpolator is a precomputed interpolation context for one point set:
+// the subproduct tree over the points, its root m = Π (x - x_i), and the
+// barycentric weights 1/m'(x_i). All of it depends on the points alone,
+// so a caller interpolating many value vectors over the same points (the
+// Gao decoder, one received word per prime and coordinate) pays for it
+// once; each Interpolate is then one weight multiply and one bottom-up
+// tree combine. An Interpolator is immutable and safe for concurrent use.
+type Interpolator struct {
+	r       *Ring
+	points  []uint64
+	tree    *subproductTree
+	weights []uint64 // 1/m'(x_i)
+}
+
+// NewInterpolator builds the interpolation context for the given points,
+// which must be non-empty and distinct mod q. The caller must not mutate
+// points afterwards.
+func (r *Ring) NewInterpolator(points []uint64) *Interpolator {
+	if len(points) == 0 {
+		panic("poly: interpolator over no points")
+	}
 	t := r.newSubproductTree(points)
-	m := t.node[1] // Π (x - x_i)
-	dm := r.Derivative(m)
-	denom := r.EvalMany(dm, points)
-	r.f.BatchInv(denom)
-	coeffs := make([]uint64, len(points))
-	ff.MulVecK(coeffs, values, denom, r.f.Kernel())
-	return Trim(r.combineUp(t, 1, coeffs, 0, nttSize(len(points))))
+	weights := r.evalTree(t, r.Derivative(t.node[1]))
+	r.f.BatchInv(weights) // panics on a repeated point, where m' vanishes
+	return &Interpolator{r: r, points: points, tree: t, weights: weights}
+}
+
+// Without returns the interpolation context over the points not marked
+// in drop (len(drop) == len(Points())), which must leave at least one.
+// Only the subproduct tree is rebuilt: with m the receiver's root and m_S
+// the kept points', m'(x_i) = m_S'(x_i) · Π_{j dropped} (x_i - x_j) at
+// every kept x_i, so each weight costs one product over the s dropped
+// points — O(n·s) in all instead of a multipoint evaluation of m_S'.
+func (ip *Interpolator) Without(drop []bool) *Interpolator {
+	if len(drop) != len(ip.points) {
+		panic("poly: interpolator drop mask length mismatch")
+	}
+	f := ip.r.f
+	var kept, dropped []uint64
+	for i, x := range ip.points {
+		if drop[i] {
+			dropped = append(dropped, x)
+		} else {
+			kept = append(kept, x)
+		}
+	}
+	if len(kept) == 0 {
+		panic("poly: interpolator over no points")
+	}
+	k := f.Kernel()
+	weights := make([]uint64, 0, len(kept))
+	for i, x := range ip.points {
+		if drop[i] {
+			continue
+		}
+		w := ip.weights[i]
+		for _, y := range dropped {
+			w = ff.MulK(w, f.Sub(x, y), k)
+		}
+		weights = append(weights, w)
+	}
+	return &Interpolator{r: ip.r, points: kept, tree: ip.r.newSubproductTree(kept), weights: weights}
+}
+
+// Points returns the interpolation points (not a copy; callers must not
+// mutate).
+func (ip *Interpolator) Points() []uint64 { return ip.points }
+
+// Root returns m = Π (x - x_i) over the points (not a copy; callers must
+// not mutate).
+func (ip *Interpolator) Root() []uint64 { return ip.tree.node[1] }
+
+// Interpolate returns the unique polynomial of degree < len(Points())
+// taking values[i] at Points()[i].
+func (ip *Interpolator) Interpolate(values []uint64) []uint64 {
+	if len(values) != len(ip.points) {
+		panic("poly: interpolation point/value length mismatch")
+	}
+	r := ip.r
+	coeffs := make([]uint64, len(values))
+	ff.MulVecK(coeffs, values, ip.weights, r.f.Kernel())
+	return Trim(r.combineUp(ip.tree, 1, coeffs, 0, nttSize(len(values))))
 }
 
 // combineUp computes Σ_i c_i Π_{j≠i} (x - x_j) over the subtree.
 func (r *Ring) combineUp(t *subproductTree, k int, c []uint64, off, span int) []uint64 {
-	if off >= t.n {
+	if off >= len(t.points) {
 		return nil
 	}
 	if span == 1 {
@@ -188,29 +267,4 @@ func (r *Ring) interpolateLagrange(points, values []uint64) []uint64 {
 		}
 	}
 	return Trim(out)
-}
-
-// ProductFromRoots returns Π_i (x - roots[i]) — the G0 precomputation of
-// the Gao decoder (paper §2.3).
-func (r *Ring) ProductFromRoots(roots []uint64) []uint64 {
-	return r.productRange(roots, 0, len(roots))
-}
-
-func (r *Ring) productRange(roots []uint64, lo, hi int) []uint64 {
-	switch hi - lo {
-	case 0:
-		return []uint64{1}
-	case 1:
-		return []uint64{r.f.Neg(roots[lo]), 1}
-	}
-	mid := (lo + hi) / 2
-	if hi-lo >= parSpanMin && par.Parallelism() > 1 {
-		var left, right []uint64
-		par.Do(
-			func() { left = r.productRange(roots, lo, mid) },
-			func() { right = r.productRange(roots, mid, hi) },
-		)
-		return r.Mul(left, right)
-	}
-	return r.Mul(r.productRange(roots, lo, mid), r.productRange(roots, mid, hi))
 }

@@ -7,6 +7,7 @@ package poly
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"camelot/internal/ff"
@@ -107,13 +108,13 @@ func TestEvalManyInterpolateParallelMatchesSerial(t *testing.T) {
 	restore := par.SetParallelism(1)
 	wantVals := r.EvalMany(coeffs, points)
 	wantPoly := r.Interpolate(points, wantVals)
-	wantProd := r.ProductFromRoots(points)
+	wantProd := r.NewInterpolator(points).Root()
 	restore()
 
 	restore = par.SetParallelism(4)
 	gotVals := r.EvalMany(coeffs, points)
 	gotPoly := r.Interpolate(points, gotVals)
-	gotProd := r.ProductFromRoots(points)
+	gotProd := r.NewInterpolator(points).Root()
 	restore()
 
 	for i := range wantVals {
@@ -131,7 +132,41 @@ func TestEvalManyInterpolateParallelMatchesSerial(t *testing.T) {
 	}
 	for i := range wantProd {
 		if gotProd[i] != wantProd[i] {
-			t.Fatalf("parallel ProductFromRoots[%d] = %d, serial %d", i, gotProd[i], wantProd[i])
+			t.Fatalf("parallel Interpolator root[%d] = %d, serial %d", i, gotProd[i], wantProd[i])
+		}
+	}
+}
+
+func TestInterpolatorConcurrentUse(t *testing.T) {
+	r := testRing(t)
+	rng := rand.New(rand.NewSource(23))
+	points := make([]uint64, 700)
+	for i := range points {
+		points[i] = uint64(i)
+	}
+	ip := r.NewInterpolator(points)
+	words := make([][]uint64, 8)
+	for i := range words {
+		words[i] = make([]uint64, len(points))
+		for j := range words[i] {
+			words[i][j] = rng.Uint64() % r.f.Q
+		}
+	}
+	restore := par.SetParallelism(4)
+	defer restore()
+	got := make([][]uint64, len(words))
+	var wg sync.WaitGroup
+	for i := range words {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = ip.Interpolate(words[i])
+		}(i)
+	}
+	wg.Wait()
+	for i, w := range words {
+		if !Equal(got[i], r.interpolateLagrange(points, w)) {
+			t.Fatalf("concurrent Interpolate of word %d differs from Lagrange", i)
 		}
 	}
 }

@@ -298,22 +298,23 @@ func (r *Ring) Monic(p []uint64) []uint64 {
 }
 
 // PartialXGCD runs the extended Euclidean algorithm on (a, b) and stops as
-// soon as the remainder g has degree < stopDeg, returning (g, u, v) with
-// u*a + v*b = g. This is exactly the half-way stop the Gao decoder needs
-// (paper §2.3): a = G0, b = G1, stopDeg = (e+d+1)/2.
-func (r *Ring) PartialXGCD(a, b []uint64, stopDeg int) (g, u, v []uint64) {
-	// Invariants: r0 = u0*a + v0*b, r1 = u1*a + v1*b. The "current
+// soon as the remainder g has degree < stopDeg, returning (g, v) with
+// u*a + v*b = g for some u. Only v is tracked: the Bézout cofactor of a is
+// never needed by the one caller, the Gao decoder (paper §2.3: a = G0,
+// b = G1, stopDeg = (e+d+1)/2), and carrying it costs a polynomial
+// multiply per Euclid step. Since u*a vanishes modulo a, the result
+// satisfies v*b ≡ g (mod a).
+func (r *Ring) PartialXGCD(a, b []uint64, stopDeg int) (g, v []uint64) {
+	// Invariant: r0 ≡ v0*b and r1 ≡ v1*b (mod a). The "current
 	// remainder" of the Euclidean sequence is r1; we stop at the first
 	// remainder with degree < stopDeg (which may be the zero polynomial —
 	// e.g. decoding a received word close to the zero codeword).
 	r0, r1 := Trim(a), Trim(b)
-	u0, u1 := []uint64{1}, []uint64(nil)
 	v0, v1 := []uint64(nil), []uint64{1}
 	for Degree(r1) >= stopDeg {
 		q, rem := r.DivMod(r0, r1)
 		r0, r1 = r1, rem
-		u0, u1 = u1, r.Sub(u0, r.Mul(q, u1))
 		v0, v1 = v1, r.Sub(v0, r.Mul(q, v1))
 	}
-	return r1, u1, v1
+	return r1, v1
 }

@@ -148,13 +148,14 @@ func TestPartialXGCDInvariant(t *testing.T) {
 		a := randPoly(rng, r.f, 40)
 		b := randPoly(rng, r.f, 35)
 		stop := rng.Intn(30)
-		g, u, v := r.PartialXGCD(a, b, stop)
+		g, v := r.PartialXGCD(a, b, stop)
 		if Degree(g) >= stop && Degree(r.GCD(a, b)) < stop {
 			t.Fatalf("stopped with degree %d >= stop %d", Degree(g), stop)
 		}
-		lhs := r.Add(r.Mul(u, a), r.Mul(v, b))
-		if !Equal(lhs, g) {
-			t.Fatalf("u*a + v*b != g (trial %d)", trial)
+		_, lhs := r.DivMod(r.Mul(v, b), a)
+		_, rhs := r.DivMod(g, a)
+		if !Equal(lhs, rhs) {
+			t.Fatalf("v*b != g (mod a) (trial %d)", trial)
 		}
 	}
 }
@@ -207,11 +208,11 @@ func TestInterpolateConstantAndLinear(t *testing.T) {
 	}
 }
 
-func TestProductFromRoots(t *testing.T) {
+func TestInterpolatorRoot(t *testing.T) {
 	r := testRing(t)
 	roots := []uint64{1, 2, 3}
 	// (x-1)(x-2)(x-3) = x^3 - 6x^2 + 11x - 6
-	got := r.ProductFromRoots(roots)
+	got := r.NewInterpolator(roots).Root()
 	want := []uint64{r.f.Reduce(-6), 11, r.f.Reduce(-6), 1}
 	if !Equal(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
@@ -221,6 +222,122 @@ func TestProductFromRoots(t *testing.T) {
 			t.Fatalf("root %d not a root", x)
 		}
 	}
+	// Past the tree's padding: the root is the plain product.
+	rng := rand.New(rand.NewSource(5))
+	pts := distinctPoints(rng, r.f, 300)
+	naive := []uint64{1}
+	for _, x := range pts {
+		naive = r.Mul(naive, []uint64{r.f.Neg(x), 1})
+	}
+	if !Equal(r.NewInterpolator(pts).Root(), naive) {
+		t.Fatal("root of 300 points differs from the product of their linear factors")
+	}
+}
+
+// distinctPoints draws n distinct field elements.
+func distinctPoints(rng *rand.Rand, f ff.Field, n int) []uint64 {
+	seen := make(map[uint64]bool, n)
+	pts := make([]uint64, 0, n)
+	for len(pts) < n {
+		x := rng.Uint64() % f.Q
+		if !seen[x] {
+			seen[x] = true
+			pts = append(pts, x)
+		}
+	}
+	return pts
+}
+
+// interpolateTreePerCall is the tree interpolation Ring.Interpolate ran
+// before the Interpolator existed: a subproduct tree per call, the
+// weights from a second tree inside EvalMany of m', then the combine.
+func (r *Ring) interpolateTreePerCall(points, values []uint64) []uint64 {
+	t := r.newSubproductTree(points)
+	dm := r.Derivative(t.node[1])
+	denom := r.EvalMany(dm, points)
+	r.f.BatchInv(denom)
+	coeffs := make([]uint64, len(points))
+	ff.MulVecK(coeffs, values, denom, r.f.Kernel())
+	return Trim(r.combineUp(t, 1, coeffs, 0, nttSize(len(points))))
+}
+
+func TestInterpolatorMatchesLagrangeAndPerCallTree(t *testing.T) {
+	for name, r := range map[string]*Ring{"ntt": testRing(t), "plain": plainRing(t)} {
+		rng := rand.New(rand.NewSource(13))
+		for _, n := range []int{1, 2, 3, 17, 64, 65, 130, 257} {
+			for _, consecutive := range []bool{true, false} {
+				pts := distinctPoints(rng, r.f, n)
+				if consecutive {
+					for i := range pts {
+						pts[i] = uint64(i)
+					}
+				}
+				ip := r.NewInterpolator(pts)
+				for trial := 0; trial < 3; trial++ {
+					vals := make([]uint64, n)
+					for i := range vals {
+						vals[i] = rng.Uint64() % r.f.Q
+					}
+					if trial == 2 {
+						vals = make([]uint64, n) // the zero polynomial
+					}
+					got := ip.Interpolate(vals)
+					if want := r.interpolateLagrange(pts, vals); !Equal(got, want) {
+						t.Fatalf("%s n=%d consecutive=%v trial %d: Interpolator differs from Lagrange", name, n, consecutive, trial)
+					}
+					if want := r.interpolateTreePerCall(pts, vals); !Equal(got, want) {
+						t.Fatalf("%s n=%d consecutive=%v trial %d: Interpolator differs from the per-call tree", name, n, consecutive, trial)
+					}
+					if want := r.Interpolate(pts, vals); !Equal(got, want) {
+						t.Fatalf("%s n=%d consecutive=%v trial %d: Interpolator differs from Ring.Interpolate", name, n, consecutive, trial)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestInterpolatorWithoutMatchesFreshContext(t *testing.T) {
+	for name, r := range map[string]*Ring{"ntt": testRing(t), "plain": plainRing(t)} {
+		rng := rand.New(rand.NewSource(17))
+		for _, n := range []int{2, 40, 65, 300} {
+			full := r.NewInterpolator(distinctPoints(rng, r.f, n))
+			for _, s := range []int{0, 1, n / 3, n - 1} {
+				drop := make([]bool, n)
+				var kept []uint64
+				for _, i := range rng.Perm(n)[:s] {
+					drop[i] = true
+				}
+				for i, x := range full.Points() {
+					if !drop[i] {
+						kept = append(kept, x)
+					}
+				}
+				got, want := full.Without(drop), r.NewInterpolator(kept)
+				if !Equal(got.Points(), want.Points()) || !Equal(got.Root(), want.Root()) ||
+					!Equal(got.weights, want.weights) {
+					t.Fatalf("%s n=%d s=%d: Without differs from a fresh context", name, n, s)
+				}
+				vals := make([]uint64, len(kept))
+				for i := range vals {
+					vals[i] = rng.Uint64() % r.f.Q
+				}
+				if !Equal(got.Interpolate(vals), r.interpolateLagrange(kept, vals)) {
+					t.Fatalf("%s n=%d s=%d: Without's interpolant differs from Lagrange", name, n, s)
+				}
+			}
+		}
+	}
+}
+
+func TestInterpolatorRejectsDuplicatePoints(t *testing.T) {
+	r := testRing(t)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewInterpolator accepted a repeated point")
+		}
+	}()
+	r.NewInterpolator([]uint64{4, 9, 4})
 }
 
 func TestDerivative(t *testing.T) {

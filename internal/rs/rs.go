@@ -26,7 +26,7 @@ type Code struct {
 	ring   *poly.Ring
 	points []uint64
 	d      int
-	g0     []uint64 // Π (x - x_i), precomputed for decoding
+	interp *poly.Interpolator // over all points, precomputed for decoding
 }
 
 // New constructs a code over the given ring with the given evaluation
@@ -47,7 +47,7 @@ func New(ring *poly.Ring, points []uint64, d int) (*Code, error) {
 		}
 		seen[xr] = struct{}{}
 	}
-	return &Code{ring: ring, points: points, d: d, g0: ring.ProductFromRoots(points)}, nil
+	return &Code{ring: ring, points: points, d: d, interp: ring.NewInterpolator(points)}, nil
 }
 
 // ConsecutivePoints returns the canonical Camelot point set 0..e-1.
@@ -107,7 +107,7 @@ func (c *Code) Decode(received []uint64) (message, corrected []uint64, errorLocs
 	if len(received) != len(c.points) {
 		return nil, nil, nil, fmt.Errorf("rs: received word length %d, want %d", len(received), len(c.points))
 	}
-	return c.decodeOver(c.points, received, c.g0, nil)
+	return c.decodeOver(c.interp, received, received, nil)
 }
 
 // DecodeErasures decodes a received word in which the symbols at the
@@ -135,16 +135,16 @@ func (c *Code) DecodeErasures(received []uint64, erased []int) (message, correct
 }
 
 // ErasurePlan is a precomputed decoding context for one erasure set:
-// the erasure mask, the surviving evaluation points, and their root
-// product Π (x - x_i) — everything about the erasures that does not
-// depend on the received word. Plans are immutable and safe for
+// the erasure mask and the interpolation context over the surviving
+// evaluation points (their subproduct tree, root product Π (x - x_i)
+// and barycentric weights) — everything about the erasures that does
+// not depend on the received word. Plans are immutable and safe for
 // concurrent Decode calls, so one plan can serve every (decoder,
 // prime, coordinate) of a run that lost the same senders.
 type ErasurePlan struct {
-	c    *Code
-	mask []bool // nil when nothing is erased
-	pts  []uint64
-	g0   []uint64
+	c      *Code
+	mask   []bool // nil when nothing is erased
+	interp *poly.Interpolator
 }
 
 // ErasurePlan validates the erasure set and precomputes the shortened
@@ -154,7 +154,7 @@ type ErasurePlan struct {
 func (c *Code) ErasurePlan(erased []int) (*ErasurePlan, error) {
 	e := len(c.points)
 	if len(erased) == 0 {
-		return &ErasurePlan{c: c, pts: c.points, g0: c.g0}, nil
+		return &ErasurePlan{c: c, interp: c.interp}, nil
 	}
 	mask := make([]bool, e)
 	s := 0
@@ -171,13 +171,7 @@ func (c *Code) ErasurePlan(erased []int) (*ErasurePlan, error) {
 		return nil, fmt.Errorf("%w: %d erasures leave %d symbols, need %d for degree bound %d",
 			ErrDecodeFailure, s, e-s, c.d+1, c.d)
 	}
-	pts := make([]uint64, 0, e-s)
-	for i, x := range c.points {
-		if !mask[i] {
-			pts = append(pts, x)
-		}
-	}
-	return &ErasurePlan{c: c, mask: mask, pts: pts, g0: c.ring.ProductFromRoots(pts)}, nil
+	return &ErasurePlan{c: c, mask: mask, interp: c.interp.Without(mask)}, nil
 }
 
 // Decode runs the erasure-aware Gao decoder against one received word;
@@ -190,32 +184,38 @@ func (p *ErasurePlan) Decode(received []uint64) (message, corrected []uint64, er
 	}
 	vals := received
 	if p.mask != nil {
-		vals = make([]uint64, 0, len(p.pts))
+		vals = make([]uint64, 0, len(p.interp.Points()))
 		for i, v := range received {
 			if !p.mask[i] {
 				vals = append(vals, v)
 			}
 		}
 	}
-	return c.decodeOver(p.pts, vals, p.g0, p.mask)
+	return c.decodeOver(p.interp, received, vals, p.mask)
 }
 
 // decodeOver runs Gao's decoder on the (possibly erasure-shortened) code
-// over the given evaluation points: vals are the received symbols at
-// pts, g0 = Π (x - pts_i), and mask (nil when nothing is erased) marks
-// the erased positions of the full-length code so the corrected word
-// and error locations can be expressed in full-length coordinates.
-func (c *Code) decodeOver(pts, vals []uint64, g0 []uint64, mask []bool) (message, corrected []uint64, errorLocs []int, err error) {
+// over the interpolation context's points: received is the full-length
+// word, vals its symbols at those points (received itself when nothing is
+// erased), and mask (nil when nothing is erased) marks the erased
+// positions of the full-length code.
+//
+// The corrected word is read off the error locator rather than evaluated:
+// the Euclidean stop gives g = u·G0 + v·G1, so at every delivered point
+// g(x_i) = v(x_i)·r_i, and once g = p·v exactly, p(x_i) = r_i wherever
+// v(x_i) ≠ 0. Only v's roots among the delivered points (at most deg v)
+// and the erased positions need p evaluated.
+func (c *Code) decodeOver(ip *poly.Interpolator, received, vals []uint64, mask []bool) (message, corrected []uint64, errorLocs []int, err error) {
 	e := len(c.points)
-	n := len(pts)
-	g1 := c.ring.Interpolate(pts, vals)
+	n := len(vals)
+	g1 := ip.Interpolate(vals)
 	if poly.Degree(g1) < 0 {
 		// Every delivered symbol is zero: the zero codeword (the Euclidean
 		// recursion below would degenerate on G1 = 0).
 		return make([]uint64, c.d+1), make([]uint64, e), nil, nil
 	}
 	stop := (n + c.d + 1) / 2
-	g, _, v := c.ring.PartialXGCD(g0, g1, stop)
+	g, v := c.ring.PartialXGCD(ip.Root(), g1, stop)
 	if poly.Degree(v) < 0 {
 		return nil, nil, nil, fmt.Errorf("%w: degenerate error locator", ErrDecodeFailure)
 	}
@@ -223,17 +223,35 @@ func (c *Code) decodeOver(pts, vals []uint64, g0 []uint64, mask []bool) (message
 	if len(r) != 0 || poly.Degree(p) > c.d {
 		return nil, nil, nil, ErrDecodeFailure
 	}
-	corrected = c.ring.EvalMany(p, c.points)
-	q := c.ring.Field().Q
-	di := 0 // index into the delivered symbols
-	for i := range corrected {
-		if mask != nil && mask[i] {
-			continue
+	// Read the corrected word off the locator where it is nonzero, and
+	// collect the rest — erased positions and v's roots — for one batched
+	// evaluation of p.
+	f := c.ring.Field()
+	vAt := make([]uint64, n)
+	f.HornerVec(vAt, v, ip.Points())
+	corrected = make([]uint64, e)
+	var rest []int // full-length positions p fills in
+	di := 0        // index into the delivered symbols
+	for i := range c.points {
+		if mask == nil || !mask[i] {
+			di++
+			if vAt[di-1] != 0 {
+				corrected[i] = received[i] % f.Q
+				continue
+			}
 		}
-		if corrected[i] != vals[di]%q {
+		rest = append(rest, i)
+	}
+	pAt := make([]uint64, len(rest)) // the rest's points, then p there
+	for j, i := range rest {
+		pAt[j] = c.points[i]
+	}
+	f.HornerVec(pAt, p, pAt)
+	for j, i := range rest {
+		corrected[i] = pAt[j]
+		if (mask == nil || !mask[i]) && corrected[i] != received[i]%f.Q {
 			errorLocs = append(errorLocs, i)
 		}
-		di++
 	}
 	if radius := c.CorrectionRadiusWithErasures(e - n); len(errorLocs) > radius {
 		// The Euclidean stop produced a "codeword" farther away than the
