@@ -63,13 +63,6 @@ type Problem = core.Problem
 // Adversary injects byzantine behaviour into a run's share traffic.
 type Adversary = core.Adversary
 
-// BatchProblem is the optional block-evaluation extension of Problem:
-// problems implementing it receive their owned point range per prime
-// in blocks of consecutive points per EvaluateBlock call, amortizing
-// per-prime setup across each block. Block size is autotuned from a
-// first-chunk timing probe by default; WithBlockSize pins it.
-type BatchProblem = core.BatchProblem
-
 // Transport carries node share broadcasts; the default is the in-memory
 // broadcast bus.
 type Transport = core.Transport
@@ -85,13 +78,8 @@ type NodeShares = core.NodeShares
 // list of senders whose broadcasts are always lost.
 type LossyConfig = core.LossyConfig
 
-// TCPConfig parameterizes a TCP share transport: the collector's
-// listen address, the address senders dial, and the dial-retry and
-// frame-size knobs (see WithTCPTransport for the option form).
-type TCPConfig = core.TCPConfig
-
 // ErrBadFrame is the typed rejection of a malformed NodeShares frame
-// arriving over a networked transport. Match with errors.Is.
+// arriving from a remote worker. Match with errors.Is.
 var ErrBadFrame = core.ErrBadFrame
 
 // ErrMalformedProof is the typed rejection of proof bytes that cannot
@@ -112,14 +100,6 @@ func NewShardedTransport(k, shards int) *core.ShardedTransport {
 // model of cfg (see WithLossyTransport for the factory form).
 func NewLossyTransport(inner Transport, cfg LossyConfig) *core.LossyTransport {
 	return core.NewLossyTransport(inner, cfg)
-}
-
-// NewTCPTransport returns a transport carrying NodeShares frames over
-// TCP for a run of k nodes (see WithTCPTransport for the option form
-// and TCPConfig for the knobs). With a ListenAddr it binds immediately
-// and acts as the run's collector; construction fails if the bind does.
-func NewTCPTransport(k int, cfg TCPConfig) (*core.TCPTransport, error) {
-	return core.NewTCPTransport(k, cfg)
 }
 
 // SilentNodes returns a crash-fault adversary: the listed nodes send
@@ -176,10 +156,6 @@ type clusterConfig struct {
 	nodes          int
 	maxParallelism int
 	newTransport   TransportFactory
-	// tcpDial/tcpListen accumulate across WithTCPTransport and
-	// WithListenAddr so the two options compose in either order; each
-	// application re-snapshots both into the factory.
-	tcpDial, tcpListen string
 }
 
 // runSettings holds the run-scoped knobs: the run-scoped subset of
@@ -266,58 +242,12 @@ func WithShardedTransport(shards int) ClusterOption {
 	})
 }
 
-// WithTCPTransport carries share broadcasts over TCP instead of an
-// in-memory bus: addr is the address every node's Send dials, and —
-// unless WithListenAddr overrides it — also where the run's collector
-// listens. The wire format is the versioned length-prefixed NodeShares
-// frame (see ARCHITECTURE.md "Networked transport"); delivery faults a
-// real socket can inflict (lost, truncated, or corrupted frames) are
-// absorbed by the same WithMaxErasures/WithGatherGrace budget as any
-// other transport, and WithLossyTransport layers on top for loopback
-// chaos. Each run binds its own listener, so concurrent runs on one
-// cluster need an ephemeral port (":0", senders dial the bound
-// address) or per-run addresses; back-to-back runs can share a fixed
-// port. Replaces any previously configured transport.
-func WithTCPTransport(addr string) ClusterOption {
-	return clusterOption(func(cc *clusterConfig) {
-		cc.tcpDial = addr
-		cc.newTransport = tcpFactory(cc.tcpDial, cc.tcpListen)
-	})
-}
-
-// WithListenAddr sets (or, together with WithTCPTransport, overrides)
-// the TCP collector's bind address. Alone it makes a loopback TCP
-// cluster whose senders dial whatever the listener bound — the
-// idiomatic form for ephemeral ports: WithListenAddr("127.0.0.1:0").
-// With WithTCPTransport it separates bind from dial, e.g. listening on
-// "0.0.0.0:9000" while senders dial a public name. Like every base
-// transport option it replaces any previously configured transport —
-// place WithLossyTransport after the TCP options so the faults ride
-// the socket path.
-func WithListenAddr(addr string) ClusterOption {
-	return clusterOption(func(cc *clusterConfig) {
-		cc.tcpListen = addr
-		cc.newTransport = tcpFactory(cc.tcpDial, cc.tcpListen)
-	})
-}
-
-// tcpFactory resolves the two TCP option fields into a transport
-// factory: an empty listen address falls back to binding the dial
-// address; an empty dial address means "dial the bound listener".
-func tcpFactory(dial, listen string) TransportFactory {
-	if listen == "" {
-		listen = dial
-	}
-	return core.NewTCPFactory(core.TCPConfig{Addr: dial, ListenAddr: listen})
-}
-
 // WithLossyTransport simulates a faulty network: seeded, per-sender
 // decisions to drop, delay, or duplicate share broadcasts, layered over
 // whatever transport the preceding options configured (the broadcast
 // bus by default, so order matters: place this after
-// WithShardedTransport or WithTCPTransport/WithListenAddr to lose
-// messages on a sharded or networked run). Runs on
-// a lossy cluster that may actually drop messages also need the
+// WithShardedTransport to lose messages on a sharded run). Runs on a
+// lossy cluster that may actually drop messages also need the
 // run-scoped WithMaxErasures to opt into erasure-tolerant gathering.
 func WithLossyTransport(cfg LossyConfig) ClusterOption {
 	return clusterOption(func(cc *clusterConfig) {
@@ -325,11 +255,12 @@ func WithLossyTransport(cfg LossyConfig) ClusterOption {
 	})
 }
 
-// WithBlockSize fixes how many consecutive points one EvaluateBlock
-// call receives for BatchProblem implementations. The default (0)
-// autotunes: each evaluation task times a small probe chunk and sizes
-// subsequent blocks for roughly 25ms each, so cheap points get large
-// amortizing blocks and expensive points keep cancellation responsive.
+// WithBlockSize fixes how many consecutive points one compiled plan's
+// EvaluateBlock call receives, for problems that compile per-prime
+// plans (every built-in problem does). The default (0) autotunes: each
+// evaluation task times a small probe chunk and sizes subsequent
+// blocks for roughly 25ms each, so cheap points get large amortizing
+// blocks and expensive points keep cancellation responsive.
 // Pin an explicit size when the problem's per-block setup has a known
 // sweet spot (or when benchmarking block-size sensitivity itself).
 func WithBlockSize(points int) RunOption {

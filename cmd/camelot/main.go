@@ -41,15 +41,6 @@
 //	camelot triangles -n 48 -nodes 8 -faults 6 -shards 3 -dropnodes 2 -erasures 2
 //	camelot triangles -n 48 -nodes 8 -faults 1 -dropnodes 2,5 -erasures 2 -repair 1
 //
-// The -tcp/-listen flags carry the share broadcasts over real sockets
-// instead of an in-memory bus: -tcp gives the address senders dial (the
-// collector binds it too), -listen overrides the bind address or — alone
-// — makes a loopback cluster on an ephemeral port. The lossy flags layer
-// on top, so a chaos run can drop frames off a real TCP stream:
-//
-//	camelot triangles -n 48 -nodes 8 -listen 127.0.0.1:0
-//	camelot triangles -n 20 -nodes 8 -faults 12 -listen 127.0.0.1:0 -dropnodes 2 -erasures 1
-//
 // The coordinate/node pair runs one workload across real OS processes:
 // a coordinator serves point-range assignments over the control
 // protocol and worker daemons evaluate them (see remote.go and
@@ -64,7 +55,6 @@ import (
 	"flag"
 	"fmt"
 	"math/big"
-	"net"
 	"os"
 	"strconv"
 	"strings"
@@ -95,10 +85,6 @@ type commonFlags struct {
 	erasures                     int
 	grace                        time.Duration
 	repair                       int
-
-	// Networked transport (NodeShares frames over TCP).
-	tcpAddr    string
-	listenAddr string
 }
 
 func (cf *commonFlags) register(fs *flag.FlagSet) {
@@ -119,8 +105,6 @@ func (cf *commonFlags) register(fs *flag.FlagSet) {
 	fs.IntVar(&cf.erasures, "erasures", 0, "tolerate losing up to this many node broadcasts (decoded as erasures)")
 	fs.DurationVar(&cf.grace, "grace", 0, "erasure-tolerant gather grace timer (0 = framework default)")
 	fs.IntVar(&cf.repair, "repair", 0, "self-healing gather: retry decode failures with up to this many repair rounds (needs -erasures)")
-	fs.StringVar(&cf.tcpAddr, "tcp", "", "carry share broadcasts over TCP: senders dial (and the collector binds) this address")
-	fs.StringVar(&cf.listenAddr, "listen", "", "TCP collector bind address when it differs from -tcp; alone, a loopback cluster dialing the bound address (use 127.0.0.1:0 for an ephemeral port)")
 }
 
 // validate applies every cross-flag rule up front, so a contradictory
@@ -146,17 +130,6 @@ func (cf *commonFlags) validate() error {
 	}{{"-droprate", cf.dropRate}, {"-duprate", cf.dupRate}, {"-delayrate", cf.delayRate}} {
 		if r.v < 0 || r.v > 1 {
 			return fmt.Errorf("%s is a probability: want 0..1, got %g", r.name, r.v)
-		}
-	}
-	if (cf.tcpAddr != "" || cf.listenAddr != "") && cf.shards > 0 {
-		return fmt.Errorf("-tcp/-listen and -shards are mutually exclusive: a run uses one transport")
-	}
-	for _, a := range []struct{ name, addr string }{{"-tcp", cf.tcpAddr}, {"-listen", cf.listenAddr}} {
-		if a.addr == "" {
-			continue
-		}
-		if _, _, err := net.SplitHostPort(a.addr); err != nil {
-			return fmt.Errorf("%s %q is not a host:port address (try 127.0.0.1:0 for an ephemeral port)", a.name, a.addr)
 		}
 	}
 	if (cf.dropNodes != "" || cf.dropRate > 0 || cf.dupRate > 0) && cf.erasures <= 0 {
@@ -205,14 +178,6 @@ func (cf *commonFlags) splitOptions() ([]camelot.RunOption, []camelot.ClusterOpt
 	}
 	if cf.shards > 0 {
 		cluster = append(cluster, camelot.WithShardedTransport(cf.shards))
-	}
-	// TCP before the lossy wrapper below, so injected faults ride the
-	// real socket path (loopback chaos).
-	if cf.tcpAddr != "" {
-		cluster = append(cluster, camelot.WithTCPTransport(cf.tcpAddr))
-	}
-	if cf.listenAddr != "" {
-		cluster = append(cluster, camelot.WithListenAddr(cf.listenAddr))
 	}
 	dropIDs, err := parse(cf.dropNodes)
 	if err != nil {

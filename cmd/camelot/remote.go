@@ -33,6 +33,7 @@ func runCoordinate(ctx context.Context, rest []string) error {
 	var cf commonFlags
 	cf.register(fs)
 	spec := fs.String("spec", "", "workload spec `kind key=value ...` (required; the jobs manifest grammar)")
+	listen := fs.String("listen", "", "control address workers join (use 127.0.0.1:0 for an ephemeral port)")
 	local := fs.Bool("local", false, "run the workload in-process instead of serving workers (reference mode)")
 	workers := fs.Int("workers", 1, "joined workers the initial round waits for")
 	secret := fs.String("secret", "", "shared cluster secret enabling per-frame authentication (must match the workers')")
@@ -44,8 +45,13 @@ func runCoordinate(ctx context.Context, rest []string) error {
 	if *spec == "" {
 		return fmt.Errorf("coordinate: -spec \"kind key=value ...\" is required")
 	}
-	if *local == (cf.listenAddr != "") {
+	if *local == (*listen != "") {
 		return fmt.Errorf("coordinate: exactly one of -local or -listen <addr> picks where the workload runs")
+	}
+	if *listen != "" {
+		if _, _, err := net.SplitHostPort(*listen); err != nil {
+			return fmt.Errorf("coordinate: -listen %q is not a host:port address (try 127.0.0.1:0 for an ephemeral port)", *listen)
+		}
 	}
 	if *workers < 1 {
 		return fmt.Errorf("coordinate: -workers must be at least 1, got %d", *workers)
@@ -67,21 +73,19 @@ func runCoordinate(ctx context.Context, rest []string) error {
 	}
 	// Remote mode: the coordinator IS the transport, so the in-process
 	// transport-shaping flags have nothing to attach to.
-	if cf.tcpAddr != "" || cf.shards > 0 {
-		return fmt.Errorf("coordinate: -tcp/-shards shape in-process transports; remote runs use the coordinator's -listen")
+	if cf.shards > 0 {
+		return fmt.Errorf("coordinate: -shards shapes in-process transports; remote runs use the coordinator's -listen")
 	}
 	if cf.dropNodes != "" || cf.dropRate > 0 || cf.dupRate > 0 || cf.delayRate > 0 {
 		return fmt.Errorf("coordinate: the lossy flags shape in-process transports; fault-inject remote runs by killing workers (node -fail-owner)")
 	}
-	listen := cf.listenAddr
-	cf.listenAddr = "" // consumed by the coordinator, not the TCP transport options
 	runOpts, clusterOpts, err := cf.splitOptions()
 	if err != nil {
 		return err
 	}
 	co, err := camelot.NewCoordinator(cf.nodes, camelot.CoordinatorConfig{
 		Workload:    *spec,
-		ListenAddr:  listen,
+		ListenAddr:  *listen,
 		Secret:      []byte(*secret),
 		MinWorkers:  *workers,
 		JoinTimeout: *joinTimeout,

@@ -8,7 +8,10 @@ package core
 // to the fault-free run; where it cannot, the run must refuse with the
 // typed rs.ErrDecodeFailure instead of fabricating an answer. Every
 // scenario is replayed under several seeds; CI's chaos job adds three
-// more fixed seeds via -chaos-seed and runs the suite under -race.
+// more fixed seeds via -chaos-seed and runs the suite under -race. The
+// same weather over real sockets — a killed worker, a liar beside it,
+// a repair round — is exercised against the control-protocol
+// coordinator in internal/ctrl.
 
 import (
 	"context"
@@ -65,22 +68,6 @@ func chaosScenarios() []chaosScenario {
 			return NewLossyTransport(NewShardedTransport(k, shards), cfg)
 		}
 	}
-	// tcp binds an ephemeral loopback collector per run; a bind
-	// failure surfaces through the run as a typed transport error.
-	tcp := func(k int) Transport {
-		t, err := NewTCPTransport(k, TCPConfig{ListenAddr: "127.0.0.1:0"})
-		if err != nil {
-			return FailedTransport(err)
-		}
-		return t
-	}
-	lossyTCP := func(cfg LossyConfig) func(int64, int) Transport {
-		return func(seed int64, k int) Transport {
-			cfg := cfg
-			cfg.Seed = seed
-			return NewLossyTransport(tcp(k), cfg)
-		}
-	}
 	return []chaosScenario{
 		{
 			// The sharded bus alone is lossless: the strict gather path
@@ -125,35 +112,6 @@ func chaosScenarios() []chaosScenario {
 			name:  "adversary-plus-loss",
 			nodes: 8, faults: 4, maxErasures: 1, grace: 2 * time.Second,
 			transport:    lossy(LossyConfig{DropNodes: []int{6}}),
-			adversary:    func(seed int64) Adversary { return NewLyingNodes(uint64(seed), 3) },
-			wantMissing:  []int{6},
-			wantSuspects: []int{3},
-		},
-		{
-			// Real sockets, calm weather: the strict gather must hear
-			// all eight nodes over loopback TCP frames.
-			name:  "tcp-clean-strict",
-			nodes: 8, faults: 4,
-			transport:    func(_ int64, k int) Transport { return tcp(k) },
-			wantMissing:  []int{},
-			wantSuspects: []int{},
-		},
-		{
-			// Frames dropped off the socket: the TCP collector's quorum
-			// gather plus erasure decode recovers exactly as the
-			// in-memory transports do.
-			name:  "tcp-drop-within-budget",
-			nodes: 8, faults: 4, maxErasures: 2, grace: 2 * time.Second,
-			transport:    lossyTCP(LossyConfig{DropNodes: []int{2, 5}}),
-			wantMissing:  []int{2, 5},
-			wantSuspects: []int{},
-		},
-		{
-			// Morgana on a real network: a liar's corrupted content and
-			// a socket that loses node 6, on separate fault axes.
-			name:  "tcp-adversary-plus-loss",
-			nodes: 8, faults: 4, maxErasures: 1, grace: 2 * time.Second,
-			transport:    lossyTCP(LossyConfig{DropNodes: []int{6}}),
 			adversary:    func(seed int64) Adversary { return NewLyingNodes(uint64(seed), 3) },
 			wantMissing:  []int{6},
 			wantSuspects: []int{3},
@@ -217,16 +175,6 @@ func chaosScenarios() []chaosScenario {
 			name:  "repair-sharded-beyond-budget",
 			nodes: 5, faults: 1, maxErasures: 2, repair: 1, grace: 2 * time.Second,
 			transport:    shardedLossy(2, LossyConfig{DropNodes: []int{1, 3}}),
-			wantMissing:  []int{},
-			wantSuspects: []int{},
-			wantRepaired: []int{1, 3},
-		},
-		{
-			// And over real sockets: the TCP collector must accept the
-			// repair round's frames on the same listener.
-			name:  "repair-tcp-beyond-budget",
-			nodes: 5, faults: 1, maxErasures: 2, repair: 1, grace: 2 * time.Second,
-			transport:    lossyTCP(LossyConfig{DropNodes: []int{1, 3}}),
 			wantMissing:  []int{},
 			wantSuspects: []int{},
 			wantRepaired: []int{1, 3},

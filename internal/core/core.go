@@ -8,8 +8,8 @@
 //     logical nodes, each responsible for ~e/K evaluation points,
 //     scheduled on a bounded worker pool and broadcasting their shares
 //     over a pluggable Transport (default: an in-memory bus). Problems
-//     implementing BatchProblem evaluate their whole owned range per
-//     prime in one call.
+//     implementing CompiledProblem evaluate their owned range per prime
+//     in blocks through a compiled plan.
 //   - Error correction during preparation (§1.3 step 2): every honest
 //     node independently runs the Gao decoder on whatever it received,
 //     recovering the true proof and identifying the failed nodes, for up
@@ -147,12 +147,13 @@ type Options struct {
 	// and decoding. 0 means runtime.GOMAXPROCS — the logical node count
 	// K no longer dictates goroutine count.
 	MaxParallelism int
-	// BlockSize fixes how many consecutive points one EvaluateBlock call
-	// receives when the problem implements BatchProblem. 0 (the default)
-	// autotunes: each range task times a small probe chunk first and
-	// sizes subsequent blocks to targetBlockNs, clamped to
-	// [minBatchChunk, maxBatchChunk]. Explicit positive values are used
-	// as given — the cancellation quantum is then the caller's business.
+	// BlockSize fixes how many consecutive points one compiled plan's
+	// EvaluateBlock call receives when the problem implements
+	// CompiledProblem. 0 (the default) autotunes: each range task times
+	// a small probe chunk first and sizes subsequent blocks to
+	// targetBlockNs, clamped to [minBatchChunk, maxBatchChunk]. Explicit
+	// positive values are used as given — the cancellation quantum is
+	// then the caller's business.
 	BlockSize int
 	// NewTransport builds the share-broadcast transport for a run of k
 	// nodes (default: the in-memory BroadcastBus). A factory rather than

@@ -282,9 +282,9 @@ func (en *engine) canRepair(err error, prep *prepared, round int) bool {
 }
 
 // closeTransport ends the transport's world for transports that have
-// one to end (sharded relays, a TCP listener). Repair-capable gathers
-// run with GatherSpec.KeepOpen, so teardown is the engine's job; for
-// everything else this is an idempotent no-op.
+// one to end (sharded relays, a remote run's coordinator).
+// Repair-capable gathers run with GatherSpec.KeepOpen, so teardown is
+// the engine's job; for everything else this is an idempotent no-op.
 func (en *engine) closeTransport() {
 	if c, ok := en.tr.(interface{ Close() }); ok {
 		c.Close()
@@ -352,7 +352,7 @@ type prepared struct {
 // node's range, so K bounds the paper's work *split* but never the
 // machine's parallelism. Chunk boundaries cannot change results: every
 // point is evaluated independently and written to its own slot (and the
-// BatchProblem contract requires block results to match point-wise
+// plan.Plan contract requires block results to match point-wise
 // evaluation bit for bit).
 // In quorum mode (Options.MaxErasures > 0) the gather tolerates
 // delivery faults: it returns once K-MaxErasures distinct senders have
@@ -440,12 +440,12 @@ func (en *engine) stagePrepare(ctx context.Context) (*prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Shape guard: a message that crossed an untrusted transport (TCP)
-	// may claim any geometry the codec's generic bounds allow, and the
-	// decoders index shares by the run's. A malformed message must
-	// never panic a decoder — it becomes its sender's delivery fault
-	// where the run tolerates those, and a typed refusal where it
-	// does not.
+	// Shape guard: a message that crossed an untrusted transport (a
+	// remote worker's frame) may claim any geometry the codec's generic
+	// bounds allow, and the decoders index shares by the run's. A
+	// malformed message must never panic a decoder — it becomes its
+	// sender's delivery fault where the run tolerates those, and a typed
+	// refusal where it does not.
 	valid := delivered[:0]
 	var malformed []int
 	for _, m := range delivered {

@@ -9,6 +9,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"camelot/internal/ff"
+	"camelot/internal/plan"
 )
 
 // slowProblem sleeps per evaluation, for cancellation-promptness tests.
@@ -29,8 +32,8 @@ func (p *slowProblem) Evaluate(q, x0 uint64) ([]uint64, error) {
 	return []uint64{x0 % q}, nil
 }
 
-// batchPolyProblem wraps polyProblem with a block path, optionally
-// sabotaged to return malformed blocks.
+// batchPolyProblem wraps polyProblem with a compiled block path,
+// optionally sabotaged to return malformed blocks.
 type batchPolyProblem struct {
 	*polyProblem
 	blockCalls atomic.Int64
@@ -38,16 +41,27 @@ type batchPolyProblem struct {
 	badWidth   bool
 }
 
-var _ BatchProblem = (*batchPolyProblem)(nil)
+var _ CompiledProblem = (*batchPolyProblem)(nil)
 
-func (p *batchPolyProblem) EvaluateBlock(q uint64, xs []uint64) ([][]uint64, error) {
+func (p *batchPolyProblem) Compile(f ff.Field) (plan.Plan, error) {
+	return batchPolyPlan{p: p, q: f.Q}, nil
+}
+
+// batchPolyPlan is batchPolyProblem's plan for one prime q.
+type batchPolyPlan struct {
+	p *batchPolyProblem
+	q uint64
+}
+
+func (pl batchPolyPlan) EvaluateBlock(xs []uint64) ([][]uint64, error) {
+	p := pl.p
 	p.blockCalls.Add(1)
 	if p.badRows {
 		return make([][]uint64, len(xs)+1), nil
 	}
 	out := make([][]uint64, len(xs))
 	for i, x := range xs {
-		vec, err := p.polyProblem.Evaluate(q, x)
+		vec, err := p.polyProblem.Evaluate(pl.q, x)
 		if err != nil {
 			return nil, err
 		}

@@ -209,7 +209,7 @@ func (t *LossyTransport) GatherQuorum(ctx context.Context, spec GatherSpec) ([]N
 }
 
 // Close tears the inner transport down when it has a lifecycle to tear
-// down (sharded relays, a TCP listener kept open across repair rounds).
+// down (sharded relays kept alive across repair rounds).
 // The wrapper itself holds no resources beyond the delayed-delivery
 // goroutines, which exit on their own cancelled Send contexts.
 func (t *LossyTransport) Close() {

@@ -42,9 +42,10 @@ var sharesMagic = [4]byte{'C', 'M', 'S', 2}
 
 // ErrBadFrame is the typed rejection of a malformed NodeShares frame:
 // wrong magic, implausible geometry, a size claim the received bytes
-// cannot back, or an oversized length prefix. A reader that hits it
-// must drop the connection — past a bad frame the stream cannot be
-// trusted to be in sync.
+// cannot back, or an oversized length prefix. Share frames reach a
+// socket only as the body of the control protocol's shares envelope
+// (internal/ctrl), whose reader drops the connection on it — past a
+// bad frame the stream cannot be trusted to be in sync.
 var ErrBadFrame = errors.New("core: malformed NodeShares frame")
 
 // RemoteError is a node-side evaluation failure reconstructed from its

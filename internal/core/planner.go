@@ -2,13 +2,13 @@ package core
 
 // The planner is the core engine's handle on the plan layer
 // (internal/plan): it resolves, per prime, how a problem's point ranges
-// are evaluated — a compiled Plan (memoized, shared), a legacy
-// BatchProblem block call, or the point-at-a-time fallback — and it is
-// the unit of reuse. One engine builds one Planner for its whole run,
-// so every chunk task, node, and repair round of the run compiles at
-// most once per prime; ctrl workers keep a Planner per assignment
-// manifest for the same reason; and runs submitted with a shared
-// plan.Cache and a workload key reuse compiles across runs and tenants.
+// are evaluated — a compiled Plan (memoized, shared) or the
+// point-at-a-time fallback — and it is the unit of reuse. One engine
+// builds one Planner for its whole run, so every chunk task, node, and
+// repair round of the run compiles at most once per prime; ctrl
+// workers keep a Planner per assignment manifest for the same reason;
+// and runs submitted with a shared plan.Cache and a workload key reuse
+// compiles across runs and tenants.
 
 import (
 	"camelot/internal/ff"
@@ -16,10 +16,12 @@ import (
 )
 
 // CompiledProblem is a Problem whose per-prime setup compiles into a
-// reusable plan.Plan — the preferred extension point for block
-// evaluation. Problems that implement it get their compiled plans
-// memoized and shared by the framework; BatchProblem remains supported
-// as the uncached legacy seam for out-of-tree implementations.
+// reusable plan.Plan — the one extension point for block evaluation.
+// The framework hands each node its owned point range in blocks of
+// consecutive points — sized by Options.BlockSize, or autotuned from a
+// first-chunk timing probe (see evaluateRangeInto) — and memoizes the
+// compiled plans per prime, sharing them across chunks, repair rounds,
+// and runs.
 type CompiledProblem interface {
 	Problem
 	plan.Compiler
@@ -60,23 +62,17 @@ func NewSharedPlanner(p Problem, cache *plan.Cache, key string) *Planner {
 func (pl *Planner) Problem() Problem { return pl.p }
 
 // For returns the block evaluator for prime q: the memoized compiled
-// plan when the problem compiles, an adapter over EvaluateBlock for
-// legacy BatchProblems, and nil (with nil error) when only per-point
-// Evaluate exists.
+// plan when the problem compiles, and nil (with nil error) when only
+// per-point Evaluate exists.
 func (pl *Planner) For(q uint64) (plan.Plan, error) {
-	if pl.cp != nil {
-		return pl.cache.Get(pl.key, q, func() (plan.Plan, error) {
-			f, err := ff.New(q)
-			if err != nil {
-				return nil, err
-			}
-			return pl.cp.Compile(f)
-		})
+	if pl.cp == nil {
+		return nil, nil
 	}
-	if bp, ok := pl.p.(BatchProblem); ok {
-		return plan.Func(func(xs []uint64) ([][]uint64, error) {
-			return bp.EvaluateBlock(q, xs)
-		}), nil
-	}
-	return nil, nil
+	return pl.cache.Get(pl.key, q, func() (plan.Plan, error) {
+		f, err := ff.New(q)
+		if err != nil {
+			return nil, err
+		}
+		return pl.cp.Compile(f)
+	})
 }

@@ -4,9 +4,10 @@ package core
 // goroutine per node (which at K = e meant thousands of goroutines for
 // large codewords), node and decoder tasks run on a worker pool of
 // Options.MaxParallelism goroutines. It also owns the evaluation
-// contract: problems that implement BatchProblem get their whole owned
-// point range per prime in one call, amortizing per-prime setup; others
-// fall back to point-at-a-time Evaluate.
+// contract: problems that implement CompiledProblem get their owned
+// point range per prime in blocks through a compiled plan (see
+// planner.go), amortizing per-prime setup; others fall back to
+// point-at-a-time Evaluate.
 
 import (
 	"context"
@@ -15,29 +16,6 @@ import (
 	"sync"
 	"time"
 )
-
-// BatchProblem is an optional extension of Problem: EvaluateBlock
-// computes P at many points of one prime in a single call, returning
-// one row (P_0(x), ..., P_{Width-1}(x)) per requested point. The
-// framework hands each node its owned point range in blocks of
-// consecutive points — sized by Options.BlockSize, or autotuned from a
-// first-chunk timing probe (see evaluateRangeInto) — so implementations
-// can do per-prime input reduction once per block instead of once per
-// point.
-// The xs slice is reused between calls; implementations must not retain
-// it past the call.
-// Results must be identical to point-wise Evaluate — the verification
-// stage evaluates through Evaluate, so a divergent batch path fails
-// verification rather than silently corrupting the proof.
-//
-// BatchProblem is the uncached legacy seam: every in-tree problem now
-// implements CompiledProblem instead (see planner.go), whose compiled
-// plans the framework memoizes per prime and shares across chunks,
-// repair rounds, and runs. New block implementations should compile.
-type BatchProblem interface {
-	Problem
-	EvaluateBlock(q uint64, xs []uint64) ([][]uint64, error)
-}
 
 // Block-size autotuning. A block is the cancellation quantum of the
 // prepare stage — ctx is only observed between EvaluateBlock calls — so
@@ -148,9 +126,8 @@ feed:
 }
 
 // evaluateRange computes vals[coord][x-lo] = P_coord(x) mod q for the
-// point range [lo, hi), through the planner's block evaluator (a
-// compiled plan or a legacy EvaluateBlock) when the problem has one and
-// point-at-a-time Evaluate otherwise.
+// point range [lo, hi), through the planner's compiled plan when the
+// problem compiles and point-at-a-time Evaluate otherwise.
 func evaluateRange(ctx context.Context, pl *Planner, q uint64, lo, hi, width, blockSize int) ([][]uint64, error) {
 	vals := make([][]uint64, width)
 	for c := range vals {

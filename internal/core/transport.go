@@ -108,7 +108,7 @@ type GatherSpec struct {
 	// repair round that follows.
 	Round int
 	// KeepOpen tells transports that normally shut down when a gather
-	// returns (sharded relays, the TCP listener) to stay alive: the
+	// returns (sharded relays) to stay alive: the
 	// engine may run repair rounds over the same instance and owns the
 	// transport's lifecycle for the rest of the run (see the engine's
 	// closeTransport).
@@ -144,6 +144,21 @@ type SendDrainer interface {
 // factory rather than an instance, because a Transport holds per-run
 // message state while Options values are routinely reused across runs.
 type TransportFactory func(k int) Transport
+
+// FailedTransport returns a Transport (and QuorumGatherer) whose every
+// method fails with err — the factory-shaped surface for construction
+// failures.
+func FailedTransport(err error) Transport { return failedTransport{err} }
+
+type failedTransport struct{ err error }
+
+func (t failedTransport) Send(context.Context, NodeShares) error { return t.err }
+func (t failedTransport) Gather(context.Context, int) ([]NodeShares, error) {
+	return nil, t.err
+}
+func (t failedTransport) GatherQuorum(context.Context, GatherSpec) ([]NodeShares, error) {
+	return nil, t.err
+}
 
 // AssignSpec names one point range the engine wants evaluated remotely:
 // the logical node that owns it (what decoders index by), the gather

@@ -98,6 +98,10 @@ type workerSlot struct {
 
 type assignKey struct{ owner, round int }
 
+// errClosed is what every wait on a closed coordinator returns: once
+// Close has run, no worker can join and no frame can arrive.
+var errClosed = errors.New("ctrl: coordinator closed")
+
 // assignment tracks one manifest's lifecycle: which slot it is routed
 // to and whether its shares (or in-band failure) ever arrived.
 // Undelivered assignments are replayed to a worker that (re)attaches
@@ -469,7 +473,7 @@ func (c *Coordinator) waitForWorkers(ctx context.Context, need int) error {
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-c.done:
-			return fmt.Errorf("ctrl: coordinator closed while waiting for workers")
+			return fmt.Errorf("%w while waiting for workers", errClosed)
 		}
 	}
 }
@@ -521,11 +525,11 @@ func (c *Coordinator) Send(ctx context.Context, m core.NodeShares) error {
 
 // Gather implements core.Transport (strict mode): k raw frames,
 // counting in-band faults — collectShares then surfaces the first
-// fault (an ErrAuth-wrapped one included) as a typed refusal. Like the
-// TCP transport's strict mode, a worker that dies silently *with no
-// outstanding assignment* cannot be distinguished from a slow one, so
-// strict remote runs lean on ctx for total-silence deadlines; quorum
-// mode is the fault-tolerant path.
+// fault (an ErrAuth-wrapped one included) as a typed refusal. A worker
+// that dies silently *with no outstanding assignment* cannot be
+// distinguished from a slow one, so strict remote runs lean on ctx for
+// total-silence deadlines; quorum mode is the fault-tolerant path.
+// After Close it fails at once with errClosed.
 func (c *Coordinator) Gather(ctx context.Context, k int) ([]core.NodeShares, error) {
 	out := make([]core.NodeShares, 0, k)
 	for len(out) < k {
@@ -534,6 +538,8 @@ func (c *Coordinator) Gather(ctx context.Context, k int) ([]core.NodeShares, err
 			out = append(out, m)
 		case <-ctx.Done():
 			return nil, ctx.Err()
+		case <-c.done:
+			return nil, errClosed
 		}
 	}
 	return out, nil
@@ -542,8 +548,14 @@ func (c *Coordinator) Gather(ctx context.Context, k int) ([]core.NodeShares, err
 // GatherQuorum implements core.QuorumGatherer with exactly the
 // engine's shared gather loop. GatherSpec.SendsDone is nil in remote
 // mode; injected fault frames count as arrivals, so grace timing still
-// converges on a dying cluster.
+// converges on a dying cluster. After Close it fails at once with
+// errClosed.
 func (c *Coordinator) GatherQuorum(ctx context.Context, spec core.GatherSpec) ([]core.NodeShares, error) {
+	select {
+	case <-c.done:
+		return nil, errClosed
+	default:
+	}
 	return core.GatherShares(ctx, c.ch, spec)
 }
 

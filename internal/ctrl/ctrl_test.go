@@ -3,9 +3,13 @@ package ctrl
 // End-to-end tests of the control protocol against the real engine:
 // in-process goroutine "daemons" (the multi-OS-process variant lives
 // in examples/multiproc and CI) driving coordinator transports through
-// core.Run, plus hand-rolled fake workers for the protocol edges a
-// well-behaved daemon never exercises — reconnect-with-resume and
-// authentication tampering.
+// core.Run, plus hand-rolled fake workers and raw connections for the
+// protocol edges a well-behaved daemon never exercises —
+// reconnect-with-resume, authentication tampering, frames for work
+// never assigned, and malformed bytes. This is the only code that
+// carries shares over sockets, so the socket-level fault weather
+// (killed workers, a liar beside a lost node, repair rounds) is pinned
+// here.
 
 import (
 	"bytes"
@@ -13,6 +17,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -86,6 +93,64 @@ func marshal(t *testing.T, proof *core.Proof) []byte {
 	return raw
 }
 
+// startWorkers runs n worker daemons as goroutines, worker i configured
+// by cfg(i). The returned wait blocks until every daemon has exited and
+// reports their errors in order; the test's end cancels any daemon
+// still running.
+func startWorkers(t *testing.T, n int, cfg func(i int) WorkerConfig) (wait func() []error) {
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = RunWorker(ctx, cfg(i))
+		}(i)
+	}
+	return func() []error {
+		wg.Wait()
+		return errs
+	}
+}
+
+// checkWorkers asserts that exactly wantInjected daemons died of their
+// FailOwner fault and every other one exited cleanly.
+func checkWorkers(t *testing.T, errs []error, wantInjected int) {
+	t.Helper()
+	injected := 0
+	for i, err := range errs {
+		if errors.Is(err, ErrFailInjected) {
+			injected++
+		} else if err != nil {
+			t.Errorf("worker %d: %v", i, err)
+		}
+	}
+	if injected != wantInjected {
+		t.Errorf("%d workers died of the injected fault, want %d", injected, wantInjected)
+	}
+}
+
+// runResult is one background core.Run's outcome.
+type runResult struct {
+	proof  *core.Proof
+	report *core.Report
+	err    error
+}
+
+// startRun drives core.Run over co in the background, for tests whose
+// foreground plays the worker side by hand.
+func startRun(ctx context.Context, co *Coordinator, p core.Problem, opts core.Options) <-chan runResult {
+	opts.NewTransport = func(k int) core.Transport { return co }
+	done := make(chan runResult, 1)
+	go func() {
+		proof, report, err := core.Run(ctx, p, opts)
+		done <- runResult{proof, report, err}
+	}()
+	return done
+}
+
 // TestRemoteRunBitIdentity: a coordinator with two worker goroutines
 // (fewer workers than logical nodes, so each worker serves multiple
 // assignments) produces a proof bit-identical to the in-process bus
@@ -103,19 +168,9 @@ func TestRemoteRunBitIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wctx, wcancel := context.WithCancel(context.Background())
-	defer wcancel()
-	var wg sync.WaitGroup
-	werrs := make([]error, 2)
-	for i := range werrs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			werrs[i] = RunWorker(wctx, WorkerConfig{
-				Join: co.Addr(), Secret: secret, Name: fmt.Sprintf("w%d", i),
-			})
-		}(i)
-	}
+	wait := startWorkers(t, 2, func(i int) WorkerConfig {
+		return WorkerConfig{Join: co.Addr(), Secret: secret, Name: fmt.Sprintf("w%d", i)}
+	})
 	proof, report, err := core.Run(testCtx(t), p, core.Options{
 		Nodes: 4, Seed: 42,
 		NewTransport: func(k int) core.Transport { return co },
@@ -123,12 +178,7 @@ func TestRemoteRunBitIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("remote run: %v", err)
 	}
-	wg.Wait()
-	for i, werr := range werrs {
-		if werr != nil {
-			t.Errorf("worker %d: %v", i, werr)
-		}
-	}
+	checkWorkers(t, wait(), 0)
 	if !report.Verified {
 		t.Error("remote proof did not verify")
 	}
@@ -153,21 +203,11 @@ func TestRemoteRepairHealsKilledWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wctx, wcancel := context.WithCancel(context.Background())
-	defer wcancel()
-	var wg sync.WaitGroup
-	werrs := make([]error, 3)
-	for i := range werrs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Every worker carries the same kill switch: which slot
-			// draws node 1 is a join-order race, and only that one dies.
-			werrs[i] = RunWorker(wctx, WorkerConfig{
-				Join: co.Addr(), Name: fmt.Sprintf("w%d", i), FailOwner: 1,
-			})
-		}(i)
-	}
+	// Every worker carries the same kill switch: which slot draws node 1
+	// is a join-order race, and only that one dies.
+	wait := startWorkers(t, 3, func(i int) WorkerConfig {
+		return WorkerConfig{Join: co.Addr(), Name: fmt.Sprintf("w%d", i), FailOwner: 1}
+	})
 	proof, report, err := core.Run(testCtx(t), p, core.Options{
 		Nodes: 3, Seed: 7,
 		MaxErasures: 1, GatherGrace: 750 * time.Millisecond, MaxRepairRounds: 2,
@@ -176,18 +216,7 @@ func TestRemoteRepairHealsKilledWorker(t *testing.T) {
 	if err != nil {
 		t.Fatalf("remote run with churn: %v", err)
 	}
-	wg.Wait()
-	injected := 0
-	for i, werr := range werrs {
-		if errors.Is(werr, ErrFailInjected) {
-			injected++
-		} else if werr != nil {
-			t.Errorf("worker %d: %v", i, werr)
-		}
-	}
-	if injected != 1 {
-		t.Errorf("%d workers died of the injected fault, want exactly 1", injected)
-	}
+	checkWorkers(t, wait(), 1)
 	if report.RepairRounds < 1 {
 		t.Errorf("RepairRounds = %d, want >= 1", report.RepairRounds)
 	}
@@ -199,6 +228,121 @@ func TestRemoteRepairHealsKilledWorker(t *testing.T) {
 	}
 	if got := marshal(t, proof); !bytes.Equal(got, busRaw) {
 		t.Error("healed proof differs from bus proof")
+	}
+}
+
+// TestRemoteKilledWorkerWithinBudget is the repair test's weather
+// inside the erasure budget and with self-healing off: the quorum
+// gather alone must absorb the dead worker's range as erasures. Eight
+// workers serve eight nodes, one range each, so the kill costs exactly
+// one owner. With d=7 and f=4 each node holds 2 of e=16 points, and
+// the budget 2·errors + erasures ≤ 8 covers the lost node (2 erasures)
+// and, in the second case, a liar beside it (2 errors) — delivery and
+// content faults reported on separate axes, the proof bit-identical
+// either way.
+func TestRemoteKilledWorkerWithinBudget(t *testing.T) {
+	const nodes, faults, owner, liar = 8, 4, 6, 3
+	p := polyProblem{d: 7, salt: 5}
+	instance := []byte("d=7 salt=5")
+	busRaw := runBus(t, p, core.Options{Nodes: nodes, FaultTolerance: faults, Seed: 3})
+	for _, tc := range []struct {
+		name         string
+		adversary    core.Adversary
+		wantSuspects []int
+	}{
+		{name: "erasure-without-repair"},
+		{name: "adversary-plus-loss", adversary: core.NewLyingNodes(3, liar), wantSuspects: []int{liar}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			co, err := NewCoordinator(nodes, Config{
+				Kind: "ctrl-poly", Instance: instance,
+				MinWorkers: nodes, JoinTimeout: 20 * time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wait := startWorkers(t, nodes, func(i int) WorkerConfig {
+				return WorkerConfig{Join: co.Addr(), Name: fmt.Sprintf("w%d", i), FailOwner: owner}
+			})
+			proof, report, err := core.Run(testCtx(t), p, core.Options{
+				Nodes: nodes, FaultTolerance: faults, Seed: 3,
+				MaxErasures: 1, GatherGrace: 2 * time.Second, MaxRepairRounds: 0,
+				Adversary:    tc.adversary,
+				NewTransport: func(k int) core.Transport { return co },
+			})
+			if err != nil {
+				t.Fatalf("remote run with a killed worker: %v", err)
+			}
+			checkWorkers(t, wait(), 1)
+			if !report.Verified {
+				t.Error("remote proof did not verify")
+			}
+			if !slices.Equal(report.MissingNodes, []int{owner}) {
+				t.Errorf("MissingNodes = %v, want [%d]", report.MissingNodes, owner)
+			}
+			if !slices.Equal(report.SuspectNodes, tc.wantSuspects) {
+				t.Errorf("SuspectNodes = %v, want %v", report.SuspectNodes, tc.wantSuspects)
+			}
+			if report.RepairRounds != 0 {
+				t.Errorf("RepairRounds = %d with repair disabled", report.RepairRounds)
+			}
+			if got := marshal(t, proof); !bytes.Equal(got, busRaw) {
+				t.Error("proof differs from bus proof")
+			}
+		})
+	}
+}
+
+// TestRemoteSilentWorkersWithinBudget is the quorum gather's loss case
+// with two senders silent rather than dead: two fake workers join
+// first, draw nodes 0 and 1 from the round-robin, and never answer
+// while keeping their connections open — no detach, so only the grace
+// timer can turn the silence into erasures. Six real daemons deliver
+// the rest; with MaxErasures 2 the proof must be bit-identical to the
+// bus run and MissingNodes exactly the silent pair.
+func TestRemoteSilentWorkersWithinBudget(t *testing.T) {
+	const nodes, faults = 8, 4
+	ctx := testCtx(t)
+	p := polyProblem{d: 7, salt: 13}
+	opts := core.Options{Nodes: nodes, FaultTolerance: faults, Seed: 5}
+	busRaw := runBus(t, p, opts)
+
+	co, err := NewCoordinator(nodes, Config{
+		Kind: "ctrl-poly", Instance: []byte("d=7 salt=13"),
+		MinWorkers: nodes, JoinTimeout: 20 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	silent := []*fakeWorker{dialFake(t, co.Addr(), nil, nil), dialFake(t, co.Addr(), nil, nil)}
+	wait := startWorkers(t, nodes-len(silent), func(i int) WorkerConfig {
+		return WorkerConfig{Join: co.Addr(), Name: fmt.Sprintf("w%d", i)}
+	})
+	opts.MaxErasures, opts.GatherGrace, opts.MaxRepairRounds = 2, 2*time.Second, 0
+	runDone := startRun(ctx, co, p, opts)
+	var owners []int
+	for _, fw := range silent {
+		owners = append(owners, fw.recvAssign().Owner)
+	}
+	res := <-runDone
+	if res.err != nil {
+		t.Fatalf("remote run with two silent workers: %v", res.err)
+	}
+	checkWorkers(t, wait(), 0)
+	if !slices.Equal(owners, []int{0, 1}) {
+		t.Fatalf("silent workers drew nodes %v, want [0 1]", owners)
+	}
+	if !slices.Equal(res.report.MissingNodes, owners) {
+		t.Errorf("MissingNodes = %v, want %v", res.report.MissingNodes, owners)
+	}
+	if len(res.report.SuspectNodes) != 0 {
+		t.Errorf("SuspectNodes = %v, want none", res.report.SuspectNodes)
+	}
+	if got := marshal(t, res.proof); !bytes.Equal(got, busRaw) {
+		t.Error("proof differs from bus proof")
+	}
+	for _, fw := range silent {
+		fw.conn.Close()
 	}
 }
 
@@ -295,18 +439,7 @@ func TestRemoteReconnectResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type result struct {
-		proof *core.Proof
-		err   error
-	}
-	runDone := make(chan result, 1)
-	go func() {
-		proof, _, err := core.Run(ctx, p, core.Options{
-			Nodes: 2, Seed: 5,
-			NewTransport: func(k int) core.Transport { return co },
-		})
-		runDone <- result{proof, err}
-	}()
+	runDone := startRun(ctx, co, p, core.Options{Nodes: 2, Seed: 5})
 
 	fw := dialFake(t, co.Addr(), secret, nil)
 	a0, a1 := fw.recvAssign(), fw.recvAssign()
@@ -371,19 +504,12 @@ func TestAuthTamperStrict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runDone := make(chan error, 1)
-	go func() {
-		_, _, err := core.Run(ctx, p, core.Options{
-			Nodes: 2, Seed: 1,
-			NewTransport: func(k int) core.Transport { return co },
-		})
-		runDone <- err
-	}()
+	runDone := startRun(ctx, co, p, core.Options{Nodes: 2, Seed: 1})
 	fw := dialFake(t, co.Addr(), secret, nil)
 	a0, _ := fw.recvAssign(), fw.recvAssign()
 	fw.sendShares(ctx, p, a0) // seq 1: one honest delivery
 	fw.sendTampered(2)        // then a forged frame
-	err = <-runDone
+	err = (<-runDone).err
 	if err == nil {
 		t.Fatal("strict run accepted a tampered frame")
 	}
@@ -414,20 +540,10 @@ func TestAuthTamperQuorum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type result struct {
-		proof  *core.Proof
-		report *core.Report
-		err    error
-	}
-	runDone := make(chan result, 1)
-	go func() {
-		proof, report, err := core.Run(ctx, p, core.Options{
-			Nodes: 2, Seed: 1, FaultTolerance: 3,
-			MaxErasures: 1, GatherGrace: 500 * time.Millisecond,
-			NewTransport: func(k int) core.Transport { return co },
-		})
-		runDone <- result{proof, report, err}
-	}()
+	runDone := startRun(ctx, co, p, core.Options{
+		Nodes: 2, Seed: 1, FaultTolerance: 3,
+		MaxErasures: 1, GatherGrace: 500 * time.Millisecond,
+	})
 	fw := dialFake(t, co.Addr(), secret, nil)
 	a0, _ := fw.recvAssign(), fw.recvAssign()
 	fw.sendShares(ctx, p, a0) // owner 0 delivered honestly
@@ -441,5 +557,255 @@ func TestAuthTamperQuorum(t *testing.T) {
 	}
 	if got := marshal(t, res.proof); !bytes.Equal(got, busRaw) {
 		t.Error("quorum proof differs from bus proof")
+	}
+}
+
+// TestRemoteUnassignedFrameDropped pins the claimShares filter: an
+// authenticated worker streaming shares for an owner it was never
+// assigned — node 7 of a 2-node run — must have that frame dropped at
+// the coordinator. Fed through, it would fail the whole gather as a
+// protocol violation, handing any joined worker a one-frame kill
+// switch. The connection survives, and the honest frames that follow
+// complete the strict run bit-identically.
+func TestRemoteUnassignedFrameDropped(t *testing.T) {
+	ctx := testCtx(t)
+	p := polyProblem{d: 5, salt: 17}
+	secret := []byte("claim-secret")
+	busRaw := runBus(t, p, core.Options{Nodes: 2, Seed: 2})
+
+	co, err := NewCoordinator(2, Config{
+		Kind: "ctrl-poly", Instance: []byte("d=5 salt=17"), Secret: secret,
+		MinWorkers: 1, JoinTimeout: 20 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runDone := startRun(ctx, co, p, core.Options{Nodes: 2, Seed: 2})
+	fw := dialFake(t, co.Addr(), secret, nil)
+	a0, a1 := fw.recvAssign(), fw.recvAssign()
+	forged := core.NodeShares{ID: 7, From: fw.ack.Worker, Lo: 0, Hi: 1, Vals: [][][]uint64{{{1}}}}
+	if err := fw.wc.send(forged); err != nil {
+		t.Fatalf("fake worker send forged shares: %v", err)
+	}
+	fw.sendShares(ctx, p, a0)
+	fw.sendShares(ctx, p, a1)
+	res := <-runDone
+	if res.err != nil {
+		t.Fatalf("strict run after an unassigned frame: %v", res.err)
+	}
+	if got := marshal(t, res.proof); !bytes.Equal(got, busRaw) {
+		t.Error("proof differs from bus proof")
+	}
+	if got := co.BadFrames(); got != 1 {
+		t.Errorf("BadFrames = %d, want 1 (the unassigned frame)", got)
+	}
+	fw.conn.Close()
+}
+
+// TestRemoteInBandErrorFailsStrictRun: a worker-side evaluation failure
+// travels as an in-band Err frame, and a strict run surfaces its text
+// exactly as it would an in-process node failure.
+func TestRemoteInBandErrorFailsStrictRun(t *testing.T) {
+	ctx := testCtx(t)
+	p := polyProblem{d: 5, salt: 9}
+	co, err := NewCoordinator(2, Config{
+		Kind: "ctrl-poly", Instance: []byte("d=5 salt=9"),
+		MinWorkers: 1, JoinTimeout: 20 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runDone := startRun(ctx, co, p, core.Options{Nodes: 2, Seed: 1})
+	fw := dialFake(t, co.Addr(), nil, nil)
+	a0, a1 := fw.recvAssign(), fw.recvAssign()
+	const why = "node 0: the grail was a lie"
+	failed := core.NodeShares{
+		ID: a0.Owner, From: fw.ack.Worker, Round: a0.Round, Lo: a0.Lo, Hi: a0.Hi,
+		Err: &core.RemoteError{Msg: why},
+	}
+	if err := fw.wc.send(failed); err != nil {
+		t.Fatalf("fake worker send in-band error: %v", err)
+	}
+	// The strict gather counts raw frames: it hands both to the
+	// collector, which surfaces the failure.
+	fw.sendShares(ctx, p, a1)
+	res := <-runDone
+	if res.err == nil || !strings.Contains(res.err.Error(), why) {
+		t.Fatalf("run err = %v, want the worker's %q", res.err, why)
+	}
+	fw.conn.Close()
+}
+
+// TestCoordinatorMalformedFramesCostTheConnection writes garbage and an
+// oversized length claim straight onto raw connections: the
+// coordinator must count both, drop those connections before any
+// handshake (rejecting the claim without allocating it), and still
+// serve an honest worker the whole run.
+func TestCoordinatorMalformedFramesCostTheConnection(t *testing.T) {
+	p := polyProblem{d: 4, salt: 1}
+	busRaw := runBus(t, p, core.Options{Nodes: 2, Seed: 6})
+	co, err := NewCoordinator(2, Config{
+		Kind: "ctrl-poly", Instance: []byte("d=4 salt=1"),
+		MinWorkers: 1, JoinTimeout: 20 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dial := func() net.Conn {
+		t.Helper()
+		c, err := net.DialTimeout("tcp", co.Addr(), 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	garbage := dial()
+	if err := core.WriteFrame(garbage, []byte("not a control frame")); err != nil {
+		t.Fatal(err)
+	}
+	oversized := dial()
+	if _, err := oversized.Write([]byte{0xFF, 0xFF, 0xFF, 0x3F}); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]net.Conn{"garbage": garbage, "oversized": oversized} {
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var buf [1]byte
+		_, err := c.Read(buf[:])
+		if err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("%s connection still open after its bad frame (read err %v)", name, err)
+		}
+	}
+	if got := co.BadFrames(); got != 2 {
+		t.Fatalf("BadFrames = %d, want 2", got)
+	}
+
+	wait := startWorkers(t, 1, func(int) WorkerConfig { return WorkerConfig{Join: co.Addr()} })
+	proof, _, err := core.Run(testCtx(t), p, core.Options{
+		Nodes: 2, Seed: 6,
+		NewTransport: func(k int) core.Transport { return co },
+	})
+	if err != nil {
+		t.Fatalf("run after malformed connections: %v", err)
+	}
+	checkWorkers(t, wait(), 0)
+	if got := marshal(t, proof); !bytes.Equal(got, busRaw) {
+		t.Error("proof differs from bus proof")
+	}
+}
+
+// TestCoordinatorGatherLifecycle: with no worker ever joining, both
+// gathers end with their context; Close then returns promptly, and the
+// closed coordinator refuses further use at once — Send, both gathers
+// and AssignRanges fail instead of blocking.
+func TestCoordinatorGatherLifecycle(t *testing.T) {
+	co, err := NewCoordinator(4, Config{Kind: "ctrl-poly", Instance: []byte("d=3 salt=0")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := core.GatherSpec{K: 4, Quorum: 4, Grace: time.Second}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, err := co.Gather(ctx, 4); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Gather = %v, want deadline", err)
+	}
+	if _, err := co.GatherQuorum(ctx, spec); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("GatherQuorum = %v, want deadline", err)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		co.Close()
+		co.Close() // idempotent
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung")
+	}
+
+	live := testCtx(t)
+	if err := co.Send(live, core.NodeShares{}); err == nil {
+		t.Error("Send after Close succeeded")
+	}
+	if _, err := co.Gather(live, 1); !errors.Is(err, errClosed) {
+		t.Errorf("Gather after Close = %v, want errClosed", err)
+	}
+	if _, err := co.GatherQuorum(live, spec); !errors.Is(err, errClosed) {
+		t.Errorf("GatherQuorum after Close = %v, want errClosed", err)
+	}
+	if err := co.AssignRanges(live, []core.AssignSpec{{Owner: 0, Hi: 1, Width: 1, Primes: []uint64{1031}}}); !errors.Is(err, errClosed) {
+		t.Errorf("AssignRanges after Close = %v, want errClosed", err)
+	}
+}
+
+// TestCoordinatorFactoryFailureSurfaces: a coordinator factory whose
+// bind fails yields a transport reporting the root cause, and a run
+// using it fails with that cause instead of hanging a remote gather.
+func TestCoordinatorFactoryFailureSurfaces(t *testing.T) {
+	factory := NewCoordinatorFactory(Config{
+		ListenAddr: "this is not:a bindable:address",
+		Kind:       "ctrl-poly", Instance: []byte("d=3 salt=0"),
+	})
+	_, _, err := core.Run(testCtx(t), polyProblem{d: 3}, core.Options{Nodes: 2, NewTransport: factory})
+	if err == nil || !strings.Contains(err.Error(), "listen") {
+		t.Fatalf("run err = %v, want the listener failure", err)
+	}
+}
+
+// deadAddr returns a loopback address nothing listens on (it was just
+// bound and released).
+func deadAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	return addr
+}
+
+// TestWorkerRetriesUntilCoordinatorUp: a daemon started before its
+// coordinator bridges the gap with its dial-retry loop, and the run
+// then completes bit-identically.
+func TestWorkerRetriesUntilCoordinatorUp(t *testing.T) {
+	p := polyProblem{d: 6, salt: 2}
+	busRaw := runBus(t, p, core.Options{Nodes: 2, Seed: 8})
+	addr := deadAddr(t)
+	wait := startWorkers(t, 1, func(int) WorkerConfig {
+		return WorkerConfig{Join: addr, RetryBackoff: 25 * time.Millisecond, MaxAttempts: 20}
+	})
+	time.Sleep(150 * time.Millisecond)
+	co, err := NewCoordinator(2, Config{
+		ListenAddr: addr, Kind: "ctrl-poly", Instance: []byte("d=6 salt=2"),
+		MinWorkers: 1, JoinTimeout: 20 * time.Second,
+	})
+	if err != nil {
+		t.Fatalf("coordinator on the reserved address: %v", err)
+	}
+	proof, _, err := core.Run(testCtx(t), p, core.Options{
+		Nodes: 2, Seed: 8,
+		NewTransport: func(k int) core.Transport { return co },
+	})
+	if err != nil {
+		t.Fatalf("run with a late coordinator: %v", err)
+	}
+	checkWorkers(t, wait(), 0)
+	if got := marshal(t, proof); !bytes.Equal(got, busRaw) {
+		t.Error("proof differs from bus proof")
+	}
+}
+
+// TestWorkerGivesUpOnDeadCoordinator: with nothing listening, the
+// daemon stops after its bounded attempts with the dial failure rather
+// than retrying forever.
+func TestWorkerGivesUpOnDeadCoordinator(t *testing.T) {
+	err := RunWorker(testCtx(t), WorkerConfig{
+		Join: deadAddr(t), RetryBackoff: 5 * time.Millisecond, MaxAttempts: 2,
+	})
+	if err == nil || !strings.Contains(err.Error(), "giving up") {
+		t.Fatalf("RunWorker = %v, want the giving-up failure", err)
 	}
 }

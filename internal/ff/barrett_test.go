@@ -7,6 +7,7 @@ package ff
 // BENCH_2.json.
 
 import (
+	"math/bits"
 	"math/rand"
 	"os/exec"
 	"strings"
@@ -19,6 +20,22 @@ func prevPrime(n uint64) uint64 {
 		n--
 	}
 	return n
+}
+
+// reduce128Div is the pre-Barrett reduction: one hardware 128/64
+// division. It lives only in tests, as the reference implementation the
+// differential and fuzz tests pin the reciprocal path against, bit for
+// bit.
+func (f Field) reduce128Div(hi, lo uint64) uint64 {
+	_, rem := bits.Div64(hi, lo, f.Q)
+	return rem
+}
+
+// mulDiv is Mul through the division reference path, for differential
+// tests and benchmarks.
+func (f Field) mulDiv(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return f.reduce128Div(hi, lo)
 }
 
 // expDiv is Exp through the division reference path.

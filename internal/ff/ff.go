@@ -14,8 +14,8 @@
 // normalized modulus (the Barrett idea with a word-sized reciprocal).
 // Construct Fields only through New/Must: a Field assembled as a struct
 // literal has no reciprocal and Mul/ReduceU panic on it. The old
-// division-based reduction survives as an unexported reference
-// implementation that differential tests in this package pin the
+// division-based reduction survives only in this package's tests, as
+// the reference implementation the differential tests pin the
 // reciprocal path against, bit for bit. A repo-level lint test forbids
 // ff.Field literals outside this package.
 package ff
@@ -229,21 +229,6 @@ func (f Field) Mul(a, b uint64) uint64 {
 		panic("ff: Field not built by New/Must")
 	}
 	return MulK(a, b, f.k)
-}
-
-// reduce128Div is the pre-Barrett reduction: one hardware 128/64
-// division. Kept as the internal reference implementation — differential
-// and fuzz tests pin the reciprocal path against it bit for bit.
-func (f Field) reduce128Div(hi, lo uint64) uint64 {
-	_, rem := bits.Div64(hi, lo, f.Q)
-	return rem
-}
-
-// mulDiv is Mul through the division reference path, for differential
-// tests and benchmarks.
-func (f Field) mulDiv(a, b uint64) uint64 {
-	hi, lo := bits.Mul64(a, b)
-	return f.reduce128Div(hi, lo)
 }
 
 // Reduce maps an arbitrary signed integer into [0, q).

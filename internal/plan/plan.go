@@ -45,12 +45,6 @@ type Plan interface {
 	EvaluateBlock(xs []uint64) ([][]uint64, error)
 }
 
-// Func adapts a closure to Plan.
-type Func func(xs []uint64) ([][]uint64, error)
-
-// EvaluateBlock implements Plan.
-func (fn Func) EvaluateBlock(xs []uint64) ([][]uint64, error) { return fn(xs) }
-
 // cacheKey identifies one compiled artifact: the workload's plan digest
 // and the prime it was compiled against.
 type cacheKey struct {

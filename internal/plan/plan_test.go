@@ -7,13 +7,18 @@ import (
 	"testing"
 )
 
+// nopPlan is a stand-in compiled plan; the cache never evaluates it.
+type nopPlan struct{}
+
+func (nopPlan) EvaluateBlock(xs []uint64) ([][]uint64, error) { return nil, nil }
+
 // TestCacheSingleFlight pins the cache's concurrency contract: many
 // goroutines racing Get on one (key, prime) compile exactly once and
 // all observe the same plan.
 func TestCacheSingleFlight(t *testing.T) {
 	c := NewCache()
 	var compiles atomic.Int64
-	p := Func(func(xs []uint64) ([][]uint64, error) { return nil, nil })
+	var p Plan = nopPlan{}
 
 	const workers = 16
 	plans := make([]Plan, workers)
@@ -58,7 +63,7 @@ func TestCacheKeying(t *testing.T) {
 		t.Helper()
 		if _, err := c.Get(key, q, func() (Plan, error) {
 			compiles.Add(1)
-			return Func(func(xs []uint64) ([][]uint64, error) { return nil, nil }), nil
+			return nopPlan{}, nil
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -284,8 +284,8 @@ func TestEvaluateBlockMatchesEvaluate(t *testing.T) {
 }
 
 func TestCamelotTrianglesBatchEndToEnd(t *testing.T) {
-	// Full protocol through the batch path (core.Run prefers
-	// EvaluateBlock now that Problem implements BatchProblem), checked
+	// Full protocol through the block path (core.Run prefers the
+	// compiled plan's EvaluateBlock now that Problem compiles), checked
 	// against the naive count.
 	g := graph.Gnp(30, 0.3, 8)
 	p, err := NewProblem(g, tensor.Strassen())

@@ -387,21 +387,9 @@ type countingCompiledProblem struct {
 
 func (p countingCompiledProblem) Count(proof *Proof) (*big.Int, error) { return p.count(proof) }
 
-// countingBatchProblem preserves the legacy BatchProblem seam for
-// problems that block-evaluate without a compile phase.
-type countingBatchProblem struct {
-	core.BatchProblem
-	count func(*core.Proof) (*big.Int, error)
-}
-
-func (p countingBatchProblem) Count(proof *Proof) (*big.Int, error) { return p.count(proof) }
-
 func newCountingProblem(p core.Problem, count func(*core.Proof) (*big.Int, error)) CountingProblem {
 	if cp, ok := p.(core.CompiledProblem); ok {
 		return countingCompiledProblem{CompiledProblem: cp, count: count}
-	}
-	if bp, ok := p.(core.BatchProblem); ok {
-		return countingBatchProblem{BatchProblem: bp, count: count}
 	}
 	return countingProblem{Problem: p, count: count}
 }

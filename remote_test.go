@@ -145,6 +145,72 @@ func TestCoordinatorFacadeBitIdentity(t *testing.T) {
 	}
 }
 
+// TestCoordinatorFacadeLossRecovers is the public API's delivery-fault
+// path over real sockets: eight ServeNode daemons all carry the same
+// FailOwner, so whichever draws node 4 dies, and the run — erasure
+// budget 1, repair off — must absorb that node's range as erasures and
+// still produce the bus run's proof bit for bit.
+func TestCoordinatorFacadeLossRecovers(t *testing.T) {
+	const spec = "triangles n=20 p=0.3 seed=7"
+	const k, faults, owner = 8, 12, 4 // ~22 points per node, budget 24 covers one node
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	w, err := ParseWorkload(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	busProof, _, err := RunProblem(ctx, w.Problem, WithNodes(k), WithSeed(3), WithFaultTolerance(faults))
+	if err != nil {
+		t.Fatal(err)
+	}
+	busRaw, _ := busProof.MarshalBinary()
+
+	co, err := NewCoordinator(k, CoordinatorConfig{
+		Workload: spec, ListenAddr: "127.0.0.1:0", MinWorkers: k,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	werrs := make([]error, k)
+	for i := range werrs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			werrs[i] = ServeNode(ctx, NodeConfig{Join: co.Addr(), FailOwner: owner})
+		}(i)
+	}
+	proof, rep, err := RunProblem(ctx, co.Workload().Problem,
+		WithNodes(k), WithSeed(3), WithFaultTolerance(faults),
+		WithMaxErasures(1), WithGatherGrace(2*time.Second), WithMaxRepairRounds(0),
+		co.AsTransport())
+	if err != nil {
+		t.Fatalf("remote facade run with a killed node: %v", err)
+	}
+	wg.Wait()
+	died := 0
+	for i, werr := range werrs {
+		switch {
+		case werr == nil:
+		case strings.Contains(werr.Error(), "assigned node 4"):
+			died++
+		default:
+			t.Errorf("worker %d: %v", i, werr)
+		}
+	}
+	if died != 1 {
+		t.Errorf("%d workers died of the injected fault, want 1", died)
+	}
+	if len(rep.MissingNodes) != 1 || rep.MissingNodes[0] != owner {
+		t.Fatalf("MissingNodes = %v, want [%d]", rep.MissingNodes, owner)
+	}
+	raw, _ := proof.MarshalBinary()
+	if !bytes.Equal(raw, busRaw) {
+		t.Fatal("lossy remote facade proof differs from bus proof")
+	}
+}
+
 // TestCoordinatorNodeMismatch pins the AsTransport guard: a run whose
 // WithNodes disagrees with the coordinator's geometry fails with a
 // naming error instead of shipping wrong ranges.
